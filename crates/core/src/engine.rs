@@ -24,6 +24,19 @@
 //!   and each device's staging-ring slots are DES resources held from
 //!   SAN read through H2D — ring exhaustion backpressures admission.
 //!
+//! # Runtime structure
+//!
+//! One run is one `Run` behind one `Rc`: the immutable resources
+//! (reader, class links, prep and Store servers, device pool, sink
+//! stage servers) plus a `RefCell` holding everything the run mutates.
+//! Both admission layers — requests across tenant classes, then
+//! buffers across sessions — use the same `FairPicker`. Each buffer's
+//! trip is a flat stage machine: `advance(run, sim, buf, step)` matches
+//! on the step that just completed and hands the buffer to its next
+//! resource with a callback that re-enters `advance`. A device death
+//! supersedes in-flight buffers by bumping their attempt, and
+//! `advance` checks the attempt once, before dispatching on the step.
+//!
 //! The legacy one-shot [`Shredder::chunk_stream`](crate::Shredder) API is now a thin
 //! single-session convenience over this engine (see
 //! [`crate::pipeline`]).
@@ -837,6 +850,7 @@ pub(crate) struct DeviceSim {
 }
 
 /// Service-frontend timing produced by the shared simulation.
+#[derive(Default)]
 pub(crate) struct ServiceSimOut {
     pub(crate) arrival: Vec<SimTime>,
     pub(crate) admit: Vec<Option<SimTime>>,
@@ -866,18 +880,14 @@ pub(crate) struct SimResult {
     pub(crate) telemetry: Option<TelemetryReport>,
 }
 
-/// Runtime fault state shared by the event closures. Only allocated
-/// when the config carries a non-empty
-/// [`FaultPlan`](crate::FaultPlan) — fault-free runs take the exact
-/// pre-fault code path.
+/// Fault state of a run. Only allocated when the config carries a
+/// non-empty [`FaultPlan`](crate::FaultPlan) — fault-free runs take the
+/// exact pre-fault code path.
 struct FaultRt {
-    /// Per-device death flags (mirrors the pool's health, kept here for
-    /// cheap survivor scans).
-    dead: Vec<bool>,
     /// Current attempt of each `[session][buffer]`. A device death
-    /// requeues in-flight buffers by bumping their attempt; callbacks
+    /// requeues in-flight buffers by bumping their attempt; events
     /// belonging to a superseded attempt (work orphaned on the dead
-    /// device) observe the mismatch and return without effect.
+    /// device) fail the check in [`advance`] and have no effect.
     attempt: Vec<Vec<u32>>,
     /// Which `[session][buffer]`s are currently in flight (admitted by
     /// the buffer scheduler, not yet completed through the sink chain).
@@ -885,213 +895,187 @@ struct FaultRt {
     report: FaultReport,
 }
 
-/// Central admission state shared by the event closures.
-struct Sched {
-    /// Per-session queue of buffer indices not yet admitted.
+/// Fair choice among FIFO queues — the one picker behind both admission
+/// layers: buffers (one queue of buffer indices per session) and
+/// requests (one queue of request ids per tenant class).
+struct FairPicker {
+    policy: AdmissionPolicy,
     queues: Vec<VecDeque<usize>>,
     weights: Vec<u32>,
     credits: Vec<u32>,
     cursor: usize,
-    policy: AdmissionPolicy,
+}
+
+impl FairPicker {
+    /// One empty queue per weight.
+    fn new(policy: AdmissionPolicy, weights: Vec<u32>) -> Self {
+        FairPicker {
+            policy,
+            queues: vec![VecDeque::new(); weights.len()],
+            credits: weights.iter().map(|w| (*w).max(1)).collect(),
+            weights,
+            cursor: 0,
+        }
+    }
+
+    /// The first non-empty queue at or after the cursor that `eligible`
+    /// accepts.
+    fn scan(&self, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let n = self.queues.len();
+        (0..n)
+            .map(|k| (self.cursor + k) % n)
+            .find(|&q| !self.queues[q].is_empty() && eligible(q))
+    }
+
+    /// Chooses a queue and pops its head: `(queue, head)`, or `None`
+    /// when every queue is empty. `SessionOrder` takes the non-empty
+    /// queue whose `key(queue, head)` is smallest, `RoundRobin` rotates
+    /// one item per queue per turn, and `Weighted` is deficit
+    /// round-robin: up to `weight` items (0 counts as 1) per turn.
+    fn pick<K: Ord>(&mut self, key: impl Fn(usize, usize) -> K) -> Option<(usize, usize)> {
+        let n = self.queues.len();
+        let q = match self.policy {
+            AdmissionPolicy::SessionOrder => {
+                (0..n)
+                    .filter_map(|q| self.queues[q].front().map(|&head| (key(q, head), q)))
+                    .min()?
+                    .1
+            }
+            AdmissionPolicy::RoundRobin => {
+                let q = self.scan(|_| true)?;
+                self.cursor = (q + 1) % n;
+                q
+            }
+            AdmissionPolicy::Weighted => {
+                let q = match self.scan(|q| self.credits[q] > 0) {
+                    Some(q) => q,
+                    None => {
+                        // Quantum exhausted everywhere: refill pending
+                        // queues for the next round.
+                        for q in 0..n {
+                            if !self.queues[q].is_empty() {
+                                self.credits[q] = self.weights[q].max(1);
+                            }
+                        }
+                        self.scan(|q| self.credits[q] > 0)?
+                    }
+                };
+                self.credits[q] -= 1;
+                if self.credits[q] == 0 {
+                    self.cursor = (q + 1) % n;
+                }
+                q
+            }
+        };
+        let head = self.queues[q].pop_front()?;
+        Some((q, head))
+    }
+}
+
+/// Everything a run mutates, behind the one `RefCell` of [`Run`].
+struct RunState {
+    /// Buffer-level admission: per-session queues of buffer indices not
+    /// yet admitted. They start empty — a session's buffers only become
+    /// schedulable when the service dispatches it.
+    buffer_queue: FairPicker,
+    /// Buffers admitted and not yet through their last sink stage.
     in_flight: usize,
-    depth: usize,
     /// When each session's current head-of-line buffer became head.
     head_since: Vec<SimTime>,
     first_admit: Vec<Option<SimTime>>,
     completion: Vec<SimTime>,
     queue_wait: Vec<Dur>,
     timelines: Vec<Vec<BufferTimeline>>,
-}
-
-impl Sched {
-    /// Picks the next (session, buffer) to admit, or `None` when all
-    /// slots are busy or no work remains. Updates fairness state and
-    /// queue-wait accounting.
-    fn pick_next(&mut self, now: SimTime) -> Option<(usize, usize)> {
-        if self.in_flight >= self.depth {
-            return None;
-        }
-        let n = self.queues.len();
-        let chosen = match self.policy {
-            AdmissionPolicy::SessionOrder => (0..n).find(|&s| !self.queues[s].is_empty()),
-            AdmissionPolicy::RoundRobin => {
-                let found = (0..n)
-                    .map(|k| (self.cursor + k) % n)
-                    .find(|&s| !self.queues[s].is_empty());
-                if let Some(s) = found {
-                    self.cursor = (s + 1) % n;
-                }
-                found
-            }
-            AdmissionPolicy::Weighted => {
-                let mut found = None;
-                for pass in 0..2 {
-                    found = (0..n)
-                        .map(|k| (self.cursor + k) % n)
-                        .find(|&s| !self.queues[s].is_empty() && self.credits[s] > 0);
-                    if found.is_some() || pass == 1 {
-                        break;
-                    }
-                    // Quantum exhausted everywhere: refill pending
-                    // sessions for the next round.
-                    for s in 0..n {
-                        if !self.queues[s].is_empty() {
-                            self.credits[s] = self.weights[s].max(1);
-                        }
-                    }
-                }
-                if let Some(s) = found {
-                    self.credits[s] -= 1;
-                    if self.credits[s] == 0 {
-                        self.cursor = (s + 1) % n;
-                    }
-                }
-                found
-            }
-        }?;
-
-        // shredder-lint: allow(R5) — the scheduler loop above only selects `chosen` from queues it observed non-empty
-        let bidx = self.queues[chosen].pop_front().expect("queue non-empty");
-        self.in_flight += 1;
-        self.queue_wait[chosen] += now.saturating_since(self.head_since[chosen]);
-        self.head_since[chosen] = now;
-        if self.first_admit[chosen].is_none() {
-            self.first_admit[chosen] = Some(now);
-        }
-        self.timelines[chosen][bidx].read_start = now;
-        Some((chosen, bidx))
-    }
-}
-
-/// Service-frontend state shared by the arrival/admission event
-/// closures: the explicit admission queue between request *arrival* and
-/// *dispatch* into the engine.
-struct SvcState {
-    policy: AdmissionPolicy,
-    slots: usize,
-    queue_depth: Option<usize>,
-    max_queue_delay: Option<Dur>,
-    /// Per-class admission queues of waiting request ids.
-    class_queues: Vec<VecDeque<usize>>,
-    class_weights: Vec<u32>,
-    credits: Vec<u32>,
-    cursor: usize,
+    /// Request-level admission: per-tenant-class queues of waiting
+    /// request ids.
+    request_queue: FairPicker,
     /// Requests currently waiting across all class queues.
     waiting: usize,
-    /// Requests currently dispatched (chunking) — bounded by `slots`.
+    /// Requests currently dispatched (chunking) — bounded by the slots.
     running: usize,
-    arrival: Vec<SimTime>,
-    admit: Vec<Option<SimTime>>,
-    first_chunk: Vec<Option<SimTime>>,
-    done: Vec<Option<SimTime>>,
-    shed: Vec<Option<SimTime>>,
     /// Buffers not yet completed per session (completion detector).
     remaining: Vec<usize>,
-    /// Closed-loop chaining: the next request of the same client.
-    next_req: Vec<Option<usize>>,
-    think: Dur,
-    closed_loop: bool,
-    depth_points: Vec<(SimTime, f64)>,
-    max_depth: usize,
-    session_service: Vec<Dur>,
+    /// The request timestamps and queue-depth samples of the report.
+    service: ServiceSimOut,
+    /// `None` when the fault plan is empty.
+    faults: Option<FaultRt>,
+    /// Per-stage (queue wait, jobs) accounting.
+    stage_acct: Vec<(Dur, u64)>,
+    /// `[session][buffer]` → `(stage index, service)` downstream work,
+    /// filled in by the deferred sink pass at dispatch.
+    sink_work: Vec<Vec<BufferSinkWork>>,
+    /// Requests dispatched by the current event whose deferred sink
+    /// functional pass the driver loop must run before the next event.
+    pending_sinks: VecDeque<usize>,
+    /// Session → pool device. A device death re-places its sessions
+    /// onto survivors, so devices are resolved from here at each step.
+    placement: Vec<usize>,
 }
 
-impl SvcState {
+impl RunState {
     fn sample_depth(&mut self, now: SimTime) {
-        self.depth_points.push((now, self.waiting as f64));
-        self.max_depth = self.max_depth.max(self.waiting);
+        self.service.depth_points.push((now, self.waiting as f64));
+        self.service.max_depth = self.service.max_depth.max(self.waiting);
     }
 
-    /// Picks the next waiting request to dispatch, or `None` when every
-    /// class queue is empty. Mirrors [`Sched::pick_next`]'s policies,
-    /// applied across tenant classes: `SessionOrder` is FIFO by arrival
-    /// time, `RoundRobin` rotates classes, `Weighted` is deficit
-    /// round-robin by class weight.
-    fn pick_waiting(&mut self) -> Option<usize> {
-        let k = self.class_queues.len();
-        let class = match self.policy {
-            AdmissionPolicy::SessionOrder => (0..k)
-                .filter_map(|c| {
-                    self.class_queues[c]
-                        .front()
-                        .map(|&sid| (self.arrival[sid], sid, c))
-                })
-                .min()
-                .map(|(_, _, c)| c),
-            AdmissionPolicy::RoundRobin => {
-                let found = (0..k)
-                    .map(|i| (self.cursor + i) % k)
-                    .find(|&c| !self.class_queues[c].is_empty());
-                if let Some(c) = found {
-                    self.cursor = (c + 1) % k;
-                }
-                found
-            }
-            AdmissionPolicy::Weighted => {
-                let mut found = None;
-                for pass in 0..2 {
-                    found = (0..k)
-                        .map(|i| (self.cursor + i) % k)
-                        .find(|&c| !self.class_queues[c].is_empty() && self.credits[c] > 0);
-                    if found.is_some() || pass == 1 {
-                        break;
-                    }
-                    for c in 0..k {
-                        if !self.class_queues[c].is_empty() {
-                            self.credits[c] = self.class_weights[c].max(1);
-                        }
-                    }
-                }
-                if let Some(c) = found {
-                    self.credits[c] -= 1;
-                    if self.credits[c] == 0 {
-                        self.cursor = (c + 1) % k;
-                    }
-                }
-                found
-            }
-        }?;
-        // shredder-lint: allow(R5) — `class` comes from the selection loop above, which only yields classes with queued sessions
-        let sid = self.class_queues[class].pop_front().expect("queue checked");
-        self.waiting -= 1;
-        Some(sid)
+    /// Admits the next `(session, buffer)` while fewer than `depth`
+    /// buffers are in flight, updating queue-wait accounting.
+    fn admit_buffer(&mut self, depth: usize, now: SimTime) -> Option<(usize, usize)> {
+        if self.in_flight >= depth {
+            return None;
+        }
+        let (sid, bidx) = self.buffer_queue.pick(|sid, _| sid)?;
+        self.in_flight += 1;
+        self.queue_wait[sid] += now.saturating_since(self.head_since[sid]);
+        self.head_since[sid] = now;
+        self.first_admit[sid].get_or_insert(now);
+        self.timelines[sid][bidx].read_start = now;
+        Some((sid, bidx))
+    }
+
+    /// The current attempt of one buffer (0 on the fault-free path,
+    /// where attempts never advance).
+    fn attempt_of(&self, sid: usize, bidx: usize) -> u32 {
+        self.faults.as_ref().map_or(0, |f| f.attempt[sid][bidx])
+    }
+
+    /// Tracks whether a buffer is in flight (only when faults are
+    /// armed; death handling requeues exactly the in-flight set).
+    fn note_inflight(&mut self, sid: usize, bidx: usize, v: bool) {
+        if let Some(f) = &mut self.faults {
+            f.inflight[sid][bidx] = v;
+        }
+    }
+
+    /// The `k`-th downstream stage job of one buffer, or `None` once
+    /// its sink work (possibly empty) is exhausted.
+    fn work_at(&self, sid: usize, bidx: usize, k: usize) -> Option<(usize, Dur)> {
+        self.sink_work
+            .get(sid)
+            .and_then(|s| s.get(bidx))
+            .and_then(|work| work.get(k))
+            .copied()
     }
 }
 
-/// Everything an in-flight buffer's event chain needs.
-#[derive(Clone)]
-struct PipeCtx {
-    sched: Rc<RefCell<Sched>>,
-    /// Service-frontend state (admission queue, request timestamps).
-    svc: Rc<RefCell<SvcState>>,
-    /// Requests dispatched this event whose deferred sink functional
-    /// pass the driver loop must run before the next event executes.
-    pending_sinks: Rc<RefCell<VecDeque<usize>>>,
-    buffers: Rc<Vec<Vec<PlannedBuffer>>>,
+/// One run: the immutable resources and admission bounds plus the
+/// mutable [`RunState`], shared by every event through one `Rc`.
+struct Run {
     reader: BandwidthChannel,
     /// Per-tenant-class ingest links (`None` = uncapped class): a
     /// class's reads funnel through its link before the shared SAN
     /// reader.
-    class_links: Rc<Vec<Option<BandwidthChannel>>>,
+    class_links: Vec<Option<BandwidthChannel>>,
     /// Session → tenant class.
-    class_of: Rc<Vec<usize>>,
+    class_of: Vec<usize>,
     prep: FifoServer,
     store: FifoServer,
-    /// The device pool plus each session's assigned device. Placement
-    /// is interior-mutable: a device death re-places its sessions onto
-    /// survivors, and `launch` resolves the device at launch time.
-    pool: Rc<DevicePool>,
-    placement: Rc<RefCell<Vec<usize>>>,
-    /// Fault runtime; `None` when the fault plan is empty (the
-    /// fault-free fast path — zero extra events, zero perturbation).
-    faults: Option<Rc<RefCell<FaultRt>>>,
-    /// Telemetry recorder; `None` when telemetry is off (the
-    /// zero-overhead path — nothing allocated, nothing recorded).
-    /// Recording is passive: it schedules no events and reads no clock
-    /// of its own, so an attached recorder never perturbs timing.
-    trace: Option<Rc<RefCell<TraceRecorder>>>,
+    pool: DevicePool,
+    /// Shared downstream sink stage servers (one per global stage name).
+    stage_servers: Vec<FifoServer>,
     /// Engine-global sink stage names, for stage-lane span labels.
-    stage_names: Rc<Vec<&'static str>>,
+    stage_names: Vec<&'static str>,
+    buffers: Vec<Vec<PlannedBuffer>>,
     host_kind: HostMemKind,
     /// Which boundary kernel the run's buffer durations were planned
     /// with — stamped on every [`BufferJob`] for per-device accounting.
@@ -1100,379 +1084,50 @@ struct PipeCtx {
     /// from SAN read through H2D — exhaustion backpressures admission).
     pinned_ring: bool,
     prep_time: Dur,
-    /// Shared downstream sink stage servers (one per global stage name).
-    stage_servers: Rc<Vec<FifoServer>>,
-    /// Per-stage (queue wait, jobs) accounting.
-    stage_acct: Rc<RefCell<Vec<(Dur, u64)>>>,
-    /// `[session][buffer]` → `(stage index, service)` downstream work,
-    /// filled in by the deferred sink pass at dispatch.
-    sink_work: Rc<RefCell<Vec<Vec<BufferSinkWork>>>>,
+    /// Buffers in flight at once across all sessions.
+    pipeline_depth: usize,
+    /// Requests chunking at once.
+    slots: usize,
+    queue_depth: Option<usize>,
+    max_queue_delay: Option<Dur>,
+    /// Closed-loop chaining: the next request of the same client, issued
+    /// `think` after this one completes or is shed.
+    next_req: Vec<Option<usize>>,
+    think: Dur,
+    /// Telemetry recorder; `None` when telemetry is off (the
+    /// zero-overhead path — nothing allocated, nothing recorded).
+    /// Recording is passive: it schedules no events and reads no clock
+    /// of its own, so an attached recorder never perturbs timing.
+    trace: Option<Rc<RefCell<TraceRecorder>>>,
+    st: RefCell<RunState>,
 }
 
-impl PipeCtx {
-    /// The `k`-th downstream stage job of one buffer, or `None` once
-    /// the buffer's sink work (possibly empty) is exhausted. A short
-    /// borrow + `Copy` read — no allocation on the per-stage hot path.
-    fn work_at(&self, sid: usize, bidx: usize, k: usize) -> Option<(usize, Dur)> {
-        self.sink_work
-            .borrow()
-            .get(sid)
-            .and_then(|s| s.get(bidx))
-            .and_then(|work| work.get(k))
-            .copied()
+impl Run {
+    /// The device a session is currently placed on.
+    fn device(&self, sid: usize) -> &PooledDevice {
+        let d = self.st.borrow().placement[sid];
+        self.pool.device(d)
     }
 
-    /// The current requeue attempt of one buffer (0 on the fault-free
-    /// path, where attempts never advance).
-    fn attempt_of(&self, sid: usize, bidx: usize) -> u32 {
-        match &self.faults {
-            Some(f) => f.borrow().attempt[sid][bidx],
-            None => 0,
-        }
-    }
-
-    /// Whether a callback chain launched at `attempt` has been
-    /// superseded by a device-death requeue. Stale chains return
-    /// without effect: their work died with the device.
-    fn is_stale(&self, sid: usize, bidx: usize, attempt: u32) -> bool {
-        self.attempt_of(sid, bidx) != attempt
-    }
-
-    /// Tracks whether a buffer is in flight (only when faults are
-    /// armed; death handling requeues exactly the in-flight set).
-    fn note_inflight(&self, sid: usize, bidx: usize, v: bool) {
-        if let Some(f) = &self.faults {
-            f.borrow_mut().inflight[sid][bidx] = v;
-        }
-    }
-}
-
-/// One request arrives at the service: it either joins the admission
-/// queue (possibly with a shed timer) or — queue full — is shed on the
-/// spot.
-fn arrive(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
-    let now = sim.now();
-    let bound = {
-        let mut svc = ctx.svc.borrow_mut();
-        svc.arrival[sid] = now;
-        // The queue bound only applies to requests that would actually
-        // wait: with a free dispatch slot the queue is necessarily
-        // empty (try_dispatch drains it on every state change), so the
-        // arrival goes straight through — even at queue_depth 0.
-        if svc.running >= svc.slots {
-            if let Some(depth) = svc.queue_depth {
-                if svc.waiting >= depth {
-                    drop(svc);
-                    shed_request(ctx, sim, sid);
-                    return;
-                }
-            }
-        }
-        let class = ctx.class_of[sid];
-        svc.class_queues[class].push_back(sid);
-        svc.waiting += 1;
-        svc.sample_depth(now);
-        svc.max_queue_delay
-    };
-    if let Some(bound) = bound {
-        let c = ctx.clone();
-        sim.schedule(bound, move |sim| queue_timeout(&c, sim, sid));
-    }
-    try_dispatch(ctx, sim);
-}
-
-/// The shed timer of one queued request fired: if it is still waiting,
-/// it has now exceeded the queue-delay bound and is shed.
-fn queue_timeout(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
-    {
-        let mut svc = ctx.svc.borrow_mut();
-        if svc.admit[sid].is_some() || svc.shed[sid].is_some() {
+    /// Records one completed sink-stage job: its queue wait, and with
+    /// telemetry on a service span on the stage's lane.
+    fn note_stage_done(&self, now: SimTime, sid: usize, bidx: usize, k: usize, since: SimTime) {
+        let Some((stage, service)) = self.st.borrow().work_at(sid, bidx, k) else {
             return;
-        }
-        let class = ctx.class_of[sid];
-        svc.class_queues[class].retain(|&x| x != sid);
-        svc.waiting -= 1;
-        svc.sample_depth(sim.now());
-    }
-    shed_request(ctx, sim, sid);
-}
-
-/// Rejects one request with `Overloaded`: records the shed instant and
-/// runs the post-request hooks (closed-loop clients think and retry
-/// with their next request; freed capacity dispatches waiters).
-fn shed_request(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
-    ctx.svc.borrow_mut().shed[sid] = Some(sim.now());
-    if let Some(trace) = &ctx.trace {
-        let mut t = trace.borrow_mut();
-        t.instant(
-            Lane::Control,
-            "shed",
-            sim.now(),
-            vec![("session", ArgValue::U64(sid as u64))],
-        );
-        t.metrics_mut().incr("shredder_requests_shed");
-    }
-    after_request(ctx, sim, sid);
-}
-
-/// Post-request hooks shared by completion and shed: closed-loop
-/// clients issue their next request after the think time, and freed
-/// dispatch slots pull waiting requests in.
-fn after_request(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
-    let next = {
-        let svc = ctx.svc.borrow();
-        if svc.closed_loop {
-            svc.next_req[sid].map(|n| (n, svc.think))
-        } else {
-            None
-        }
-    };
-    if let Some((next_sid, think)) = next {
-        let c = ctx.clone();
-        sim.schedule(think, move |sim| arrive(&c, sim, next_sid));
-    }
-    try_dispatch(ctx, sim);
-}
-
-/// Dispatches waiting requests while dispatch slots are free. Each
-/// dispatch queues the request's deferred sink pass (run by the driver
-/// loop in dispatch order, so shared sink state never sees shed
-/// requests) and makes its buffers visible to the buffer-level
-/// admission scheduler.
-fn try_dispatch(ctx: &PipeCtx, sim: &mut Simulation) {
-    loop {
-        let sid = {
-            let mut svc = ctx.svc.borrow_mut();
-            if svc.running >= svc.slots || svc.waiting == 0 {
-                break;
-            }
-            let Some(sid) = svc.pick_waiting() else { break };
-            svc.running += 1;
-            svc.admit[sid] = Some(sim.now());
-            svc.sample_depth(sim.now());
-            sid
         };
-        dispatch(ctx, sim, sid);
-    }
-}
-
-/// Admits one request into the engine: its (already planned) buffers
-/// join the buffer-level scheduler and the shared pipeline is pumped.
-fn dispatch(ctx: &PipeCtx, sim: &mut Simulation, sid: usize) {
-    ctx.pending_sinks.borrow_mut().push_back(sid);
-    let nbuf = ctx.buffers[sid].len();
-    {
-        let mut sched = ctx.sched.borrow_mut();
-        sched.queues[sid] = (0..nbuf).collect();
-        sched.head_since[sid] = sim.now();
-    }
-    if nbuf == 0 {
-        // An empty stream completes the moment it is admitted.
+        let wait = now.saturating_since(since).saturating_sub(service);
         {
-            let mut svc = ctx.svc.borrow_mut();
-            svc.done[sid] = Some(sim.now());
-            svc.running -= 1;
+            let acct = &mut self.st.borrow_mut().stage_acct[stage];
+            acct.0 += wait;
+            acct.1 += 1;
         }
-        after_request(ctx, sim, sid);
-        return;
-    }
-    // Pump via the calendar so every same-instant dispatch enqueues its
-    // buffers *before* the first admission decision — the batch
-    // workload then round-robins across all sessions exactly like the
-    // closed-batch engine did.
-    let c = ctx.clone();
-    sim.schedule_now(move |sim| pump(&c, sim));
-}
-
-/// Admits buffers until the shared slots are full, launching each one's
-/// stage chain. Called at start and again whenever a buffer completes.
-fn pump(ctx: &PipeCtx, sim: &mut Simulation) {
-    loop {
-        let pick = ctx.sched.borrow_mut().pick_next(sim.now());
-        match pick {
-            Some((sid, bidx)) => launch(ctx.clone(), sim, sid, bidx),
-            None => break,
-        }
-    }
-}
-
-/// One buffer's trip: prep → ring slot → read → device (lane → H2D →
-/// kernel → D2H, event-chained on the device's stream triple) → store →
-/// the session's sink stages (if any), then release the admission slot
-/// and pump again. Because the slot is held until the *last* sink stage
-/// completes, downstream stages genuinely backpressure admission (and
-/// with it the kernel FIFO); because the ring slot is held from SAN
-/// read through H2D, an exhausted staging ring does the same.
-fn launch(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize) {
-    let pb = ctx.buffers[sid][bidx];
-    // Resolve the device at launch time: a device death re-places the
-    // session, so a requeued (or still-queued) buffer lands on the
-    // survivor, not the corpse.
-    let device: PooledDevice = ctx.pool.device(ctx.placement.borrow()[sid]).clone();
-    ctx.note_inflight(sid, bidx, true);
-    // Chains of a superseded attempt (their device died mid-buffer)
-    // observe the bumped attempt at every step and die silently; the
-    // resources they consumed model work genuinely lost to the failure.
-    let attempt = ctx.attempt_of(sid, bidx);
-    let c = ctx.clone();
-    ctx.prep.process(sim, ctx.prep_time, move |sim| {
-        if c.is_stale(sid, bidx, attempt) {
-            return;
-        }
-        let dev = device.clone();
-        let c2 = c.clone();
-        let staged = move |sim: &mut Simulation| {
-            if c2.is_stale(sid, bidx, attempt) {
-                return;
-            }
-            let c3 = c2.clone();
-            let dev2 = dev.clone();
-            let read_done = move |sim: &mut Simulation| {
-                if c3.is_stale(sid, bidx, attempt) {
-                    return;
-                }
-                {
-                    let mut s = c3.sched.borrow_mut();
-                    s.timelines[sid][bidx].read_end = sim.now();
-                }
-                let job = BufferJob {
-                    bytes: pb.bytes,
-                    // Boundary array back over PCIe after the kernel.
-                    cut_bytes: (pb.cut_count * 8).max(8),
-                    kernel: pb.kernel_dur,
-                    host: c3.host_kind,
-                    variant: c3.variant,
-                };
-                let (c4, c5, c6) = (c3.clone(), c3.clone(), c3.clone());
-                let dev3 = dev2.clone();
-                dev2.submit(
-                    sim,
-                    job,
-                    move |sim| {
-                        if c4.is_stale(sid, bidx, attempt) {
-                            return;
-                        }
-                        // Payload resident on device: the staging slot
-                        // is reusable by the next reader.
-                        if c4.pinned_ring {
-                            dev3.ring().release(sim, 1);
-                        }
-                        let mut s = c4.sched.borrow_mut();
-                        s.timelines[sid][bidx].transfer_end = sim.now();
-                    },
-                    move |sim| {
-                        if c5.is_stale(sid, bidx, attempt) {
-                            return;
-                        }
-                        let mut s = c5.sched.borrow_mut();
-                        s.timelines[sid][bidx].kernel_end = sim.now();
-                    },
-                    move |sim| {
-                        if c6.is_stale(sid, bidx, attempt) {
-                            return;
-                        }
-                        // Host-side adjustment + upcall.
-                        let host_time = Dur::from_nanos(
-                            calibration::HOST_STAGE_OVERHEAD_NS
-                                + pb.cut_count * calibration::STORE_PER_CUT_NS,
-                        );
-                        let c7 = c6.clone();
-                        c6.store.process(sim, host_time, move |sim| {
-                            if c7.is_stale(sid, bidx, attempt) {
-                                return;
-                            }
-                            {
-                                let mut s = c7.sched.borrow_mut();
-                                s.timelines[sid][bidx].store_end = sim.now();
-                            }
-                            {
-                                // First boundary delivery of this
-                                // request — the "first chunk" service
-                                // timestamp.
-                                let mut svc = c7.svc.borrow_mut();
-                                if svc.first_chunk[sid].is_none() {
-                                    svc.first_chunk[sid] = Some(sim.now());
-                                }
-                            }
-                            sink_chain(c7, sim, sid, bidx, 0);
-                        });
-                    },
-                );
-            };
-            // A tenant class with an ingest cap funnels its reads
-            // through the class link before the shared SAN reader.
-            match c2.class_links[c2.class_of[sid]].clone() {
-                Some(link) => {
-                    let reader = c2.reader.clone();
-                    link.transfer(sim, pb.bytes, move |sim| {
-                        reader.transfer(sim, pb.bytes, read_done)
-                    });
-                }
-                None => c2.reader.transfer(sim, pb.bytes, read_done),
-            }
-        };
-        if c.pinned_ring {
-            device.ring().clone().acquire(sim, 1, staged);
-        } else {
-            staged(sim);
-        }
-    });
-}
-
-/// Runs one buffer's downstream sink work, stage by stage, then
-/// completes the buffer. A buffer with no sink work completes
-/// immediately — the degenerate (upcall-only) path is byte-for-byte the
-/// pre-sink pipeline.
-fn sink_chain(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize, k: usize) {
-    let Some((stage, service)) = ctx.work_at(sid, bidx, k) else {
-        ctx.note_inflight(sid, bidx, false);
-        {
-            let mut s = ctx.sched.borrow_mut();
-            s.completion[sid] = sim.now();
-            s.in_flight -= 1;
-        }
-        let request_done = {
-            let mut svc = ctx.svc.borrow_mut();
-            svc.remaining[sid] -= 1;
-            if svc.remaining[sid] == 0 {
-                svc.done[sid] = Some(sim.now());
-                svc.running -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        if request_done {
-            // A dispatch slot freed up: waiting requests (and, closed
-            // loop, this client's next request) move.
-            after_request(&ctx, sim, sid);
-        }
-        pump(&ctx, sim);
-        return;
-    };
-    let enqueued = sim.now();
-    let attempt = ctx.attempt_of(sid, bidx);
-    let server = ctx.stage_servers[stage].clone();
-    let c = ctx.clone();
-    server.process(sim, service, move |sim| {
-        if c.is_stale(sid, bidx, attempt) {
-            return;
-        }
-        let wait = {
-            let mut acct = c.stage_acct.borrow_mut();
-            let wait = sim.now().saturating_since(enqueued).saturating_sub(service);
-            acct[stage].0 += wait;
-            acct[stage].1 += 1;
-            wait
-        };
-        if let Some(trace) = &c.trace {
+        if let Some(trace) = &self.trace {
             // The FIFO stage server serializes its jobs, so service
             // spans on one stage lane never overlap; the queue wait
             // (which *can* overlap) rides along as an arg and a
             // histogram instead of a span.
-            let name = c.stage_names[stage];
-            let end = sim.now();
-            let start = SimTime::from_nanos(end.as_nanos().saturating_sub(service.as_nanos()));
+            let name = self.stage_names[stage];
+            let start = SimTime::from_nanos(now.as_nanos().saturating_sub(service.as_nanos()));
             let mut t = trace.borrow_mut();
             t.span(
                 Lane::Stage {
@@ -1480,7 +1135,7 @@ fn sink_chain(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize, k: us
                 },
                 name,
                 start,
-                end,
+                now,
                 vec![
                     ("session", ArgValue::U64(sid as u64)),
                     ("queue_wait_ns", ArgValue::U64(wait.as_nanos())),
@@ -1493,8 +1148,341 @@ fn sink_chain(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize, k: us
                 service.as_nanos(),
             );
         }
-        sink_chain(c, sim, sid, bidx, k + 1);
-    });
+    }
+}
+
+/// One request arrives at the service: it either joins the admission
+/// queue (possibly with a shed timer) or — queue full — is shed on the
+/// spot.
+fn arrive(run: &Rc<Run>, sim: &mut Simulation, sid: usize) {
+    let now = sim.now();
+    {
+        let mut st = run.st.borrow_mut();
+        st.service.arrival[sid] = now;
+        // The queue bound only applies to requests that would actually
+        // wait: with a free dispatch slot the queue is necessarily
+        // empty (try_dispatch drains it on every state change), so the
+        // arrival goes straight through — even at queue_depth 0.
+        if st.running >= run.slots && run.queue_depth.is_some_and(|depth| st.waiting >= depth) {
+            drop(st);
+            shed_request(run, sim, sid);
+            return;
+        }
+        st.request_queue.queues[run.class_of[sid]].push_back(sid);
+        st.waiting += 1;
+        st.sample_depth(now);
+    }
+    if let Some(bound) = run.max_queue_delay {
+        let r = run.clone();
+        sim.schedule(bound, move |sim| queue_timeout(&r, sim, sid));
+    }
+    try_dispatch(run, sim);
+}
+
+/// The shed timer of one queued request fired: if it is still waiting,
+/// it has now exceeded the queue-delay bound and is shed.
+fn queue_timeout(run: &Rc<Run>, sim: &mut Simulation, sid: usize) {
+    {
+        let mut st = run.st.borrow_mut();
+        if st.service.admit[sid].is_some() || st.service.shed[sid].is_some() {
+            return;
+        }
+        st.request_queue.queues[run.class_of[sid]].retain(|&x| x != sid);
+        st.waiting -= 1;
+        st.sample_depth(sim.now());
+    }
+    shed_request(run, sim, sid);
+}
+
+/// Rejects one request with `Overloaded`: records the shed instant and
+/// runs the post-request hooks (closed-loop clients think and retry
+/// with their next request; freed capacity dispatches waiters).
+fn shed_request(run: &Rc<Run>, sim: &mut Simulation, sid: usize) {
+    run.st.borrow_mut().service.shed[sid] = Some(sim.now());
+    if let Some(trace) = &run.trace {
+        let mut t = trace.borrow_mut();
+        t.instant(
+            Lane::Control,
+            "shed",
+            sim.now(),
+            vec![("session", ArgValue::U64(sid as u64))],
+        );
+        t.metrics_mut().incr("shredder_requests_shed");
+    }
+    after_request(run, sim, sid);
+}
+
+/// Post-request hooks shared by completion and shed: closed-loop
+/// clients issue their next request after the think time, and freed
+/// dispatch slots pull waiting requests in.
+fn after_request(run: &Rc<Run>, sim: &mut Simulation, sid: usize) {
+    if let Some(next) = run.next_req[sid] {
+        let r = run.clone();
+        sim.schedule(run.think, move |sim| arrive(&r, sim, next));
+    }
+    try_dispatch(run, sim);
+}
+
+/// Dispatches waiting requests while dispatch slots are free. Across
+/// classes, `SessionOrder` is FIFO by `(arrival, request id)`.
+fn try_dispatch(run: &Rc<Run>, sim: &mut Simulation) {
+    let now = sim.now();
+    loop {
+        let sid = {
+            let mut guard = run.st.borrow_mut();
+            let st = &mut *guard;
+            if st.running >= run.slots || st.waiting == 0 {
+                break;
+            }
+            let arrival = &st.service.arrival;
+            let Some((_, sid)) = st.request_queue.pick(|_, sid| (arrival[sid], sid)) else {
+                break;
+            };
+            st.waiting -= 1;
+            st.running += 1;
+            st.service.admit[sid] = Some(now);
+            st.sample_depth(now);
+            sid
+        };
+        dispatch(run, sim, sid);
+    }
+}
+
+/// Admits one request into the engine: queues its deferred sink pass
+/// (run by the driver loop in dispatch order, so shared sink state
+/// never sees shed requests) and makes its (already planned) buffers
+/// visible to the buffer-level scheduler.
+fn dispatch(run: &Rc<Run>, sim: &mut Simulation, sid: usize) {
+    let now = sim.now();
+    let nbuf = run.buffers[sid].len();
+    {
+        let mut st = run.st.borrow_mut();
+        st.pending_sinks.push_back(sid);
+        st.buffer_queue.queues[sid] = (0..nbuf).collect();
+        st.head_since[sid] = now;
+        if nbuf == 0 {
+            // An empty stream completes the moment it is admitted.
+            st.service.done[sid] = Some(now);
+            st.running -= 1;
+        }
+    }
+    if nbuf == 0 {
+        after_request(run, sim, sid);
+        return;
+    }
+    // Pump via the calendar so every same-instant dispatch enqueues its
+    // buffers *before* the first admission decision — the batch
+    // workload then round-robins across all sessions exactly like the
+    // closed-batch engine did.
+    let r = run.clone();
+    sim.schedule_now(move |sim| pump(&r, sim));
+}
+
+/// Admits buffers until the shared slots are full, starting each one's
+/// stage chain. Called at dispatch and again whenever a buffer
+/// completes.
+fn pump(run: &Rc<Run>, sim: &mut Simulation) {
+    loop {
+        let pick = run
+            .st
+            .borrow_mut()
+            .admit_buffer(run.pipeline_depth, sim.now());
+        let Some((sid, bidx)) = pick else { break };
+        advance(run, sim, BufferRef::current(run, sid, bidx), Step::Admitted);
+    }
+}
+
+/// One launch of one buffer: a device death requeues an in-flight
+/// buffer under a new attempt, superseding the old chain.
+#[derive(Clone, Copy)]
+struct BufferRef {
+    sid: usize,
+    bidx: usize,
+    attempt: u32,
+}
+
+impl BufferRef {
+    /// The buffer at its current attempt.
+    fn current(run: &Run, sid: usize, bidx: usize) -> Self {
+        let attempt = run.st.borrow().attempt_of(sid, bidx);
+        BufferRef { sid, bidx, attempt }
+    }
+}
+
+/// What just happened to a buffer: each step names the completed event
+/// that moves the buffer on to its next resource.
+#[derive(Clone, Copy)]
+enum Step {
+    /// The buffer holds an admission slot: just admitted, or relaunched
+    /// by a device-death requeue.
+    Admitted,
+    /// Host prep (a pageable allocation without the ring) finished.
+    Prepped,
+    /// A staging-ring slot on the device is held (or no ring is used).
+    Staged,
+    /// The class ingest link delivered the bytes (capped classes only).
+    Linked,
+    /// The SAN reader delivered the bytes.
+    Read,
+    /// H2D finished: the payload is resident on the device.
+    Landed,
+    /// The chunking kernel finished.
+    Chunked,
+    /// D2H of the boundary array finished.
+    Returned,
+    /// The Store thread finished the host-side adjustment and upcall.
+    Stored,
+    /// Sink stage `k` of the buffer finished; the job was enqueued at
+    /// `since`.
+    Sunk { k: usize, since: SimTime },
+}
+
+/// The callback that moves `buf` on at `step`.
+fn then(run: &Rc<Run>, buf: BufferRef, step: Step) -> impl FnOnce(&mut Simulation) + 'static {
+    let run = run.clone();
+    move |sim| advance(&run, sim, buf, step)
+}
+
+/// One buffer's trip as a flat stage machine: admitted → prep → ring
+/// slot → (class link →) read → device (lane → H2D → kernel → D2H,
+/// event-chained on the device's stream triple) → store → the session's
+/// sink stages (if any), then release the admission slot and pump
+/// again. Because the slot is held until the *last* sink stage
+/// completes, downstream stages backpressure admission (and with it the
+/// kernel FIFO); because the ring slot is held from SAN read through
+/// H2D, an exhausted staging ring does the same.
+///
+/// A device death supersedes a buffer's chain by bumping its attempt.
+/// The attempt is checked once, here, before every step except
+/// `Admitted` (whose attempt was just read) and `Linked` (a superseded
+/// capped-class chain still queues its SAN read): a superseded chain
+/// stops at its next checked step, and the resources it consumed model
+/// work lost to the failure.
+fn advance(run: &Rc<Run>, sim: &mut Simulation, buf: BufferRef, step: Step) {
+    let BufferRef { sid, bidx, attempt } = buf;
+    if !matches!(step, Step::Admitted | Step::Linked)
+        && run.st.borrow().attempt_of(sid, bidx) != attempt
+    {
+        return;
+    }
+    let now = sim.now();
+    let pb = run.buffers[sid][bidx];
+    let next_sink_stage = match step {
+        Step::Admitted => {
+            run.st.borrow_mut().note_inflight(sid, bidx, true);
+            run.prep
+                .process(sim, run.prep_time, then(run, buf, Step::Prepped));
+            None
+        }
+        Step::Prepped => {
+            if run.pinned_ring {
+                run.device(sid)
+                    .ring()
+                    .acquire(sim, 1, then(run, buf, Step::Staged));
+            } else {
+                advance(run, sim, buf, Step::Staged);
+            }
+            None
+        }
+        Step::Staged => {
+            // A tenant class with an ingest cap funnels its reads
+            // through the class link before the shared SAN reader.
+            match &run.class_links[run.class_of[sid]] {
+                Some(link) => link.transfer(sim, pb.bytes, then(run, buf, Step::Linked)),
+                None => run
+                    .reader
+                    .transfer(sim, pb.bytes, then(run, buf, Step::Read)),
+            }
+            None
+        }
+        Step::Linked => {
+            run.reader
+                .transfer(sim, pb.bytes, then(run, buf, Step::Read));
+            None
+        }
+        Step::Read => {
+            run.st.borrow_mut().timelines[sid][bidx].read_end = now;
+            let job = BufferJob {
+                bytes: pb.bytes,
+                // Boundary array back over PCIe after the kernel.
+                cut_bytes: (pb.cut_count * 8).max(8),
+                kernel: pb.kernel_dur,
+                host: run.host_kind,
+                variant: run.variant,
+            };
+            run.device(sid).submit(
+                sim,
+                job,
+                then(run, buf, Step::Landed),
+                then(run, buf, Step::Chunked),
+                then(run, buf, Step::Returned),
+            );
+            None
+        }
+        Step::Landed => {
+            // Payload resident on device: the staging slot is reusable
+            // by the next reader.
+            if run.pinned_ring {
+                run.device(sid).ring().release(sim, 1);
+            }
+            run.st.borrow_mut().timelines[sid][bidx].transfer_end = now;
+            None
+        }
+        Step::Chunked => {
+            run.st.borrow_mut().timelines[sid][bidx].kernel_end = now;
+            None
+        }
+        Step::Returned => {
+            // Host-side adjustment + upcall.
+            let host_time = Dur::from_nanos(
+                calibration::HOST_STAGE_OVERHEAD_NS + pb.cut_count * calibration::STORE_PER_CUT_NS,
+            );
+            run.store
+                .process(sim, host_time, then(run, buf, Step::Stored));
+            None
+        }
+        Step::Stored => {
+            let mut st = run.st.borrow_mut();
+            st.timelines[sid][bidx].store_end = now;
+            // First boundary delivery of this request — the "first
+            // chunk" service timestamp.
+            st.service.first_chunk[sid].get_or_insert(now);
+            Some(0)
+        }
+        Step::Sunk { k, since } => {
+            run.note_stage_done(now, sid, bidx, k, since);
+            Some(k + 1)
+        }
+    };
+    let Some(k) = next_sink_stage else { return };
+
+    // Downstream: the buffer's next sink stage, or — its sink work
+    // exhausted (immediately, without a sink) — completion.
+    let work = run.st.borrow().work_at(sid, bidx, k);
+    if let Some((stage, service)) = work {
+        let step = Step::Sunk { k, since: now };
+        run.stage_servers[stage].process(sim, service, then(run, buf, step));
+        return;
+    }
+    let request_done = {
+        let mut st = run.st.borrow_mut();
+        st.note_inflight(sid, bidx, false);
+        st.completion[sid] = now;
+        st.in_flight -= 1;
+        st.remaining[sid] -= 1;
+        let done = st.remaining[sid] == 0;
+        if done {
+            st.service.done[sid] = Some(now);
+            st.running -= 1;
+        }
+        done
+    };
+    if request_done {
+        // A dispatch slot freed up: waiting requests (and, closed loop,
+        // this client's next request) move.
+        after_request(run, sim, sid);
+    }
+    pump(run, sim);
 }
 
 /// Applies one scheduled [`FaultKind`] to the running simulation.
@@ -1507,19 +1495,18 @@ fn sink_chain(ctx: PipeCtx, sim: &mut Simulation, sid: usize, bidx: usize, k: us
 /// onto the least-loaded (slowdown-weighted) survivors — ascending
 /// session order, so the outcome is deterministic — and requeues their
 /// in-flight buffers: each gets a bumped attempt and a fresh launch
-/// (new SAN read, surviving device) while the orphaned chain's
-/// callbacks observe the stale attempt and die without effect. A death
-/// that would kill the last survivor is skipped and counted
+/// (new SAN read, surviving device) while the orphaned chain fails the
+/// attempt check in [`advance`] and dies without effect. A death that
+/// would kill the last survivor is skipped and counted
 /// (`deaths_skipped`): the engine never strands accepted work.
-fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
-    let Some(frt) = ctx.faults.clone() else {
-        return;
-    };
+fn apply_fault(run: &Rc<Run>, sim: &mut Simulation, kind: FaultKind) {
     match kind {
         FaultKind::Straggler { device, slowdown } => {
-            ctx.pool.device(device).set_slowdown(slowdown);
-            frt.borrow_mut().report.stragglers += 1;
-            if let Some(trace) = &ctx.trace {
+            run.pool.device(device).set_slowdown(slowdown);
+            if let Some(f) = &mut run.st.borrow_mut().faults {
+                f.report.stragglers += 1;
+            }
+            if let Some(trace) = &run.trace {
                 let mut t = trace.borrow_mut();
                 t.instant(
                     Lane::Control,
@@ -1534,20 +1521,22 @@ fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
             }
         }
         FaultKind::DeviceDeath { device } => {
+            let gpus = run.pool.len();
+            let alive = |d: usize| run.pool.device(d).is_alive();
             {
-                let mut f = frt.borrow_mut();
-                if f.dead[device] {
+                let mut st = run.st.borrow_mut();
+                let Some(f) = &mut st.faults else { return };
+                if !alive(device) {
                     return; // Double kill: nothing left to take.
                 }
-                if f.dead.iter().filter(|&&d| !d).count() <= 1 {
+                if (0..gpus).filter(|&d| alive(d)).count() <= 1 {
                     f.report.deaths_skipped += 1;
                     return;
                 }
-                f.dead[device] = true;
                 f.report.device_deaths += 1;
             }
-            ctx.pool.device(device).fail();
-            if let Some(trace) = &ctx.trace {
+            run.pool.device(device).fail();
+            if let Some(trace) = &run.trace {
                 let mut t = trace.borrow_mut();
                 t.instant(
                     Lane::Control,
@@ -1558,77 +1547,85 @@ fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
                 t.metrics_mut().incr("shredder_faults_device_deaths");
             }
 
-            // Bytes still assigned per survivor: sessions that are
-            // neither done nor shed, wherever they currently sit.
-            let gpus = ctx.pool.len();
-            let session_bytes: Vec<u64> = ctx
+            // Bytes still assigned per survivor, and the sessions to
+            // move: those neither done nor shed, wherever they sit.
+            let session_bytes: Vec<u64> = run
                 .buffers
                 .iter()
                 .map(|bufs| bufs.iter().map(|b| b.bytes).sum())
                 .collect();
-            let placement = ctx.placement.borrow().clone();
-            let (mut load, victims) = {
-                let svc = ctx.svc.borrow();
-                let active = |sid: usize| svc.done[sid].is_none() && svc.shed[sid].is_none();
-                let mut load = vec![0u64; gpus];
-                for sid in 0..placement.len() {
-                    if placement[sid] != device && active(sid) {
-                        load[placement[sid]] += session_bytes[sid];
+            let mut load = vec![0u64; gpus];
+            let mut victims = Vec::new();
+            {
+                let st = run.st.borrow();
+                for (sid, &d) in st.placement.iter().enumerate() {
+                    if st.service.done[sid].is_some() || st.service.shed[sid].is_some() {
+                        continue;
+                    }
+                    if d == device {
+                        victims.push(sid);
+                    } else {
+                        load[d] += session_bytes[sid];
                     }
                 }
-                let victims: Vec<usize> = (0..placement.len())
-                    .filter(|&sid| placement[sid] == device && active(sid))
-                    .collect();
-                (load, victims)
-            };
+            }
 
-            let dead = frt.borrow().dead.clone();
             for sid in victims {
                 let target = (0..gpus)
-                    .filter(|&d| !dead[d])
+                    .filter(|&d| alive(d))
                     .min_by_key(|&d| {
-                        let ppm = (ctx.pool.device(d).slowdown() * PPM as f64) as u64;
+                        let ppm = (run.pool.device(d).slowdown() * PPM as f64) as u64;
                         ((load[d] + session_bytes[sid]) as u128 * ppm as u128, d)
                     })
                     // shredder-lint: allow(R5) — the last-survivor guard above ensures at least one live device remains
                     .expect("at least one survivor");
                 load[target] += session_bytes[sid];
-                ctx.placement.borrow_mut()[sid] = target;
-                frt.borrow_mut().report.replaced_sessions += 1;
+                {
+                    let mut st = run.st.borrow_mut();
+                    st.placement[sid] = target;
+                    if let Some(f) = &mut st.faults {
+                        f.report.replaced_sessions += 1;
+                    }
+                }
 
                 // Requeue the session's in-flight buffers in index
                 // order; relaunches go through the calendar so this
                 // handler finishes before any of them runs.
-                for bidx in 0..ctx.buffers[sid].len() {
+                for bidx in 0..run.buffers[sid].len() {
                     let requeue = {
-                        let mut f = frt.borrow_mut();
-                        if f.inflight[sid][bidx] {
-                            f.attempt[sid][bidx] += 1;
-                            f.report.requeued_buffers += 1;
-                            true
-                        } else {
-                            false
+                        let mut guard = run.st.borrow_mut();
+                        let st = &mut *guard;
+                        match &mut st.faults {
+                            Some(f) if f.inflight[sid][bidx] => {
+                                f.attempt[sid][bidx] += 1;
+                                f.report.requeued_buffers += 1;
+                                st.timelines[sid][bidx].read_start = sim.now();
+                                true
+                            }
+                            _ => false,
                         }
                     };
-                    if requeue {
-                        if let Some(trace) = &ctx.trace {
-                            let mut t = trace.borrow_mut();
-                            t.instant(
-                                Lane::Control,
-                                "requeue",
-                                sim.now(),
-                                vec![
-                                    ("session", ArgValue::U64(sid as u64)),
-                                    ("buffer", ArgValue::U64(bidx as u64)),
-                                    ("target", ArgValue::U64(target as u64)),
-                                ],
-                            );
-                            t.metrics_mut().incr("shredder_faults_requeued_buffers");
-                        }
-                        ctx.sched.borrow_mut().timelines[sid][bidx].read_start = sim.now();
-                        let c = ctx.clone();
-                        sim.schedule_now(move |sim| launch(c, sim, sid, bidx));
+                    if !requeue {
+                        continue;
                     }
+                    if let Some(trace) = &run.trace {
+                        let mut t = trace.borrow_mut();
+                        t.instant(
+                            Lane::Control,
+                            "requeue",
+                            sim.now(),
+                            vec![
+                                ("session", ArgValue::U64(sid as u64)),
+                                ("buffer", ArgValue::U64(bidx as u64)),
+                                ("target", ArgValue::U64(target as u64)),
+                            ],
+                        );
+                        t.metrics_mut().incr("shredder_faults_requeued_buffers");
+                    }
+                    let r = run.clone();
+                    sim.schedule_now(move |sim| {
+                        advance(&r, sim, BufferRef::current(&r, sid, bidx), Step::Admitted)
+                    });
                 }
             }
         }
@@ -1638,14 +1635,15 @@ fn apply_fault(ctx: &PipeCtx, sim: &mut Simulation, kind: FaultKind) {
 /// Runs the deferred sink functional pass of one freshly-dispatched
 /// request: every final chunk is delivered to the sink (real payloads,
 /// real digests/dedup decisions) and the per-buffer, per-stage service
-/// demand lands in `ctx.sink_work` for the timing chain to consume.
+/// demand lands in the run's sink work for the stage machine to
+/// consume.
 ///
-/// Runs *outside* the event closures (the driver loop below) so sinks
-/// can borrow caller state; dispatch order is deterministic, so shared
+/// Runs *outside* the events (the driver loop below) so sinks can
+/// borrow caller state; dispatch order is deterministic, so shared
 /// sink state (a dedup index, a chunk store) sees the same sequence on
 /// every replay — and never sees shed requests at all.
 fn run_deferred_sink<'a>(
-    ctx: &PipeCtx,
+    run: &Run,
     bindings: &mut [Option<SinkBinding<'a>>],
     stage_map: &[Vec<usize>],
     plans: &[SessionPlan],
@@ -1660,8 +1658,9 @@ fn run_deferred_sink<'a>(
     let (_, per_buffer) =
         crate::sink::drive_sink_functional(&mut *sink, &chunk_sets[sid], &data, nbuf, buffer_size);
     let map = &stage_map[sid];
-    ctx.svc.borrow_mut().session_service[sid] = per_buffer.iter().flatten().copied().sum();
-    ctx.sink_work.borrow_mut()[sid] = per_buffer
+    let mut st = run.st.borrow_mut();
+    st.service.session_service[sid] = per_buffer.iter().flatten().copied().sum();
+    st.sink_work[sid] = per_buffer
         .into_iter()
         .map(|services| {
             services
@@ -1685,13 +1684,6 @@ fn simulate_service<'a>(
 ) -> SimResult {
     let mut sim = Simulation::new();
 
-    let reader = BandwidthChannel::new(
-        "san-reader",
-        config.reader_bandwidth,
-        Dur::from_nanos(calibration::READER_IO_LATENCY_NS),
-    );
-    let prep = FifoServer::new("host-prep", 1);
-    let store = FifoServer::new("store-thread", 1);
     // `ShredderEngine::run` rejects `gpus == 0` with `InvalidConfig`;
     // on the infallible analytic path (`simulate_synthetic`) the pool's
     // own non-empty assert fires instead of silently coercing to 1.
@@ -1720,16 +1712,13 @@ fn simulate_service<'a>(
         }
     }
     let placement = place_sessions_degraded(plans, gpus, config.placement, &dead0, &ppm0);
-    let faults = (!config.faults.is_empty()).then(|| {
-        Rc::new(RefCell::new(FaultRt {
-            dead: vec![false; gpus],
-            attempt: plans.iter().map(|p| vec![0u32; p.buffers.len()]).collect(),
-            inflight: plans.iter().map(|p| vec![false; p.buffers.len()]).collect(),
-            report: FaultReport {
-                injected: config.faults.len(),
-                ..FaultReport::default()
-            },
-        }))
+    let faults = (!config.faults.is_empty()).then(|| FaultRt {
+        attempt: plans.iter().map(|p| vec![0u32; p.buffers.len()]).collect(),
+        inflight: plans.iter().map(|p| vec![false; p.buffers.len()]).collect(),
+        report: FaultReport {
+            injected: config.faults.len(),
+            ..FaultReport::default()
+        },
     });
     // Telemetry mirrors the fault runtime's contract: the recorder only
     // exists when the config asks for it, so a disabled run allocates
@@ -1738,54 +1727,19 @@ fn simulate_service<'a>(
         .telemetry
         .enabled
         .then(|| Rc::new(RefCell::new(TraceRecorder::new(&config.telemetry))));
-    let alloc_model = HostAllocModel::new();
+    if let Some(t) = &trace {
+        // Device-engine lanes: every completed H2D/kernel/D2H interval
+        // lands in the trace alongside the pool's busy accounting.
+        pool.attach_recorder(t);
+    }
 
-    let host_kind = if config.pinned_ring {
-        HostMemKind::Pinned
-    } else {
-        HostMemKind::Pageable
-    };
     // Without the ring, the host allocates a fresh pageable buffer every
     // iteration (§4.1.2's counterfactual).
-    let prep_time = if config.pinned_ring {
-        Dur::ZERO
+    let (host_kind, prep_time) = if config.pinned_ring {
+        (HostMemKind::Pinned, Dur::ZERO)
     } else {
-        alloc_model.alloc_time(HostMemKind::Pageable, config.buffer_size)
-    };
-
-    let n = plans.len();
-    // Buffer-level admission state: queues start *empty* — a session's
-    // buffers only become schedulable when the service dispatches it.
-    let sched = Sched {
-        queues: vec![VecDeque::new(); n],
-        weights: plans.iter().map(|p| p.weight).collect(),
-        credits: plans.iter().map(|p| p.weight.max(1)).collect(),
-        cursor: 0,
-        policy,
-        in_flight: 0,
-        depth: config.pipeline_depth,
-        head_since: vec![SimTime::ZERO; n],
-        first_admit: vec![None; n],
-        completion: vec![SimTime::ZERO; n],
-        queue_wait: vec![Dur::ZERO; n],
-        timelines: plans
-            .iter()
-            .map(|p| {
-                p.buffers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| BufferTimeline {
-                        index: i,
-                        bytes: b.bytes as usize,
-                        read_start: SimTime::ZERO,
-                        read_end: SimTime::ZERO,
-                        transfer_end: SimTime::ZERO,
-                        kernel_end: SimTime::ZERO,
-                        store_end: SimTime::ZERO,
-                    })
-                    .collect()
-            })
-            .collect(),
+        let alloc = HostAllocModel::new().alloc_time(HostMemKind::Pageable, config.buffer_size);
+        (HostMemKind::Pageable, alloc)
     };
 
     // Engine-global sink stage list (deduplicated by name across
@@ -1815,117 +1769,119 @@ fn simulate_service<'a>(
         })
         .collect();
 
-    let stage_servers: Rc<Vec<FifoServer>> = Rc::new(
-        specs
+    let n = plans.len();
+    let (clients, think) = match inputs.arrivals {
+        ArrivalSchedule::Closed { clients, think } => (clients, think),
+        // Open loop: no request follows another.
+        ArrivalSchedule::Open(_) => (n, Dur::ZERO),
+    };
+    let run = Rc::new(Run {
+        reader: BandwidthChannel::new(
+            "san-reader",
+            config.reader_bandwidth,
+            Dur::from_nanos(calibration::READER_IO_LATENCY_NS),
+        ),
+        class_links: inputs
+            .classes
+            .iter()
+            .map(|c| {
+                c.ingest_bw
+                    .map(|bw| BandwidthChannel::new(format!("ingest-{}", c.name), bw, Dur::ZERO))
+            })
+            .collect(),
+        class_of: plans.iter().map(|p| p.class).collect(),
+        prep: FifoServer::new("host-prep", 1),
+        store: FifoServer::new("store-thread", 1),
+        pool,
+        stage_servers: specs
             .iter()
             .map(|s| FifoServer::new(s.name.to_string(), 1))
             .collect(),
-    );
-    let stage_acct = Rc::new(RefCell::new(vec![(Dur::ZERO, 0u64); specs.len()]));
-
-    let class_links: Vec<Option<BandwidthChannel>> = inputs
-        .classes
-        .iter()
-        .map(|c| {
-            c.ingest_bw
-                .map(|bw| BandwidthChannel::new(format!("ingest-{}", c.name), bw, Dur::ZERO))
-        })
-        .collect();
-
-    let (closed_loop, clients, think) = match inputs.arrivals {
-        ArrivalSchedule::Closed { clients, think } => (true, clients, think),
-        ArrivalSchedule::Open(_) => (false, 0, Dur::ZERO),
-    };
-    let next_req: Vec<Option<usize>> = (0..n)
-        .map(|sid| {
-            if closed_loop && sid + clients < n {
-                Some(sid + clients)
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let svc = SvcState {
-        policy: inputs.control.policy,
-        slots: inputs.control.slots.max(1),
-        queue_depth: inputs.control.queue_depth,
-        max_queue_delay: inputs.control.max_queue_delay,
-        class_queues: vec![VecDeque::new(); inputs.classes.len()],
-        class_weights: inputs.classes.iter().map(|c| c.weight).collect(),
-        credits: inputs.classes.iter().map(|c| c.weight.max(1)).collect(),
-        cursor: 0,
-        waiting: 0,
-        running: 0,
-        arrival: vec![SimTime::ZERO; n],
-        admit: vec![None; n],
-        first_chunk: vec![None; n],
-        done: vec![None; n],
-        shed: vec![None; n],
-        remaining: plans.iter().map(|p| p.buffers.len()).collect(),
-        next_req,
-        think,
-        closed_loop,
-        depth_points: Vec::new(),
-        max_depth: 0,
-        session_service: vec![Dur::ZERO; n],
-    };
-
-    let ctx = PipeCtx {
-        sched: Rc::new(RefCell::new(sched)),
-        svc: Rc::new(RefCell::new(svc)),
-        pending_sinks: Rc::new(RefCell::new(VecDeque::new())),
-        buffers: Rc::new(plans.iter().map(|p| p.buffers.clone()).collect()),
-        reader: reader.clone(),
-        class_links: Rc::new(class_links),
-        class_of: Rc::new(plans.iter().map(|p| p.class).collect()),
-        prep: prep.clone(),
-        store: store.clone(),
-        pool: Rc::new(pool),
-        placement: Rc::new(RefCell::new(placement)),
-        faults,
+        stage_names: specs.iter().map(|s| s.name).collect(),
+        buffers: plans.iter().map(|p| p.buffers.clone()).collect(),
         host_kind,
         variant: config.kernel,
         pinned_ring: config.pinned_ring,
         prep_time,
-        stage_servers: stage_servers.clone(),
-        stage_acct: stage_acct.clone(),
-        sink_work: Rc::new(RefCell::new(vec![Vec::new(); n])),
+        pipeline_depth: config.pipeline_depth,
+        slots: inputs.control.slots.max(1),
+        queue_depth: inputs.control.queue_depth,
+        max_queue_delay: inputs.control.max_queue_delay,
+        next_req: (0..n)
+            .map(|sid| Some(sid + clients).filter(|&next| next < n))
+            .collect(),
+        think,
         trace,
-        stage_names: Rc::new(specs.iter().map(|s| s.name).collect()),
-    };
-    if let Some(t) = &ctx.trace {
-        // Device-engine lanes: every completed H2D/kernel/D2H interval
-        // lands in the trace alongside the pool's busy accounting.
-        ctx.pool.attach_recorder(t);
-    }
+        st: RefCell::new(RunState {
+            buffer_queue: FairPicker::new(policy, plans.iter().map(|p| p.weight).collect()),
+            in_flight: 0,
+            head_since: vec![SimTime::ZERO; n],
+            first_admit: vec![None; n],
+            completion: vec![SimTime::ZERO; n],
+            queue_wait: vec![Dur::ZERO; n],
+            timelines: plans
+                .iter()
+                .map(|p| {
+                    p.buffers
+                        .iter()
+                        .enumerate()
+                        .map(|(i, b)| BufferTimeline {
+                            index: i,
+                            bytes: b.bytes as usize,
+                            read_start: SimTime::ZERO,
+                            read_end: SimTime::ZERO,
+                            transfer_end: SimTime::ZERO,
+                            kernel_end: SimTime::ZERO,
+                            store_end: SimTime::ZERO,
+                        })
+                        .collect()
+                })
+                .collect(),
+            request_queue: FairPicker::new(
+                inputs.control.policy,
+                inputs.classes.iter().map(|c| c.weight).collect(),
+            ),
+            waiting: 0,
+            running: 0,
+            remaining: plans.iter().map(|p| p.buffers.len()).collect(),
+            service: ServiceSimOut {
+                arrival: vec![SimTime::ZERO; n],
+                admit: vec![None; n],
+                first_chunk: vec![None; n],
+                done: vec![None; n],
+                shed: vec![None; n],
+                depth_points: Vec::new(),
+                max_depth: 0,
+                session_service: vec![Dur::ZERO; n],
+            },
+            faults,
+            stage_acct: vec![(Dur::ZERO, 0u64); specs.len()],
+            sink_work: vec![Vec::new(); n],
+            pending_sinks: VecDeque::new(),
+            placement,
+        }),
+    });
 
     // Fault events enter the calendar before the arrivals, so a t = 0
     // fault precedes same-instant arrivals (the calendar breaks ties by
     // scheduling order). An empty plan schedules nothing at all — the
     // fault-free calendar is untouched.
     for ev in &config.faults.events {
-        let c = ctx.clone();
+        let r = run.clone();
         let kind = ev.kind;
-        sim.schedule_at_or_now(SimTime::ZERO + ev.at, move |sim| apply_fault(&c, sim, kind));
+        sim.schedule_at_or_now(SimTime::ZERO + ev.at, move |sim| apply_fault(&r, sim, kind));
     }
 
     // Arrival events enter the calendar up-front (open loop) or chain
     // off completions (closed loop, seeded with each client's first
     // request).
-    match &inputs.arrivals {
-        ArrivalSchedule::Open(times) => {
-            for (sid, at) in times.iter().enumerate() {
-                let c = ctx.clone();
-                sim.schedule_at(*at, move |sim| arrive(&c, sim, sid));
-            }
-        }
-        ArrivalSchedule::Closed { clients, .. } => {
-            for sid in 0..n.min(*clients) {
-                let c = ctx.clone();
-                sim.schedule_at(SimTime::ZERO, move |sim| arrive(&c, sim, sid));
-            }
-        }
+    let first_arrivals = match &inputs.arrivals {
+        ArrivalSchedule::Open(times) => times.clone(),
+        ArrivalSchedule::Closed { clients, .. } => vec![SimTime::ZERO; n.min(*clients)],
+    };
+    for (sid, at) in first_arrivals.into_iter().enumerate() {
+        let r = run.clone();
+        sim.schedule_at(at, move |sim| arrive(&r, sim, sid));
     }
 
     // The driver loop: between events, run the deferred sink passes of
@@ -1934,29 +1890,26 @@ fn simulate_service<'a>(
     // sink stage chain (a buffer must clear read → H2D → kernel → store
     // first, all strictly later in virtual time).
     let mut bindings = inputs.bindings;
-    let buffer_size = config.buffer_size;
     loop {
         loop {
-            let next = ctx.pending_sinks.borrow_mut().pop_front();
-            match next {
-                Some(sid) => run_deferred_sink(
-                    &ctx,
-                    &mut bindings,
-                    &stage_map,
-                    plans,
-                    chunk_sets,
-                    buffer_size,
-                    sid,
-                ),
-                None => break,
-            }
+            let next = run.st.borrow_mut().pending_sinks.pop_front();
+            let Some(sid) = next else { break };
+            run_deferred_sink(
+                &run,
+                &mut bindings,
+                &stage_map,
+                plans,
+                chunk_sets,
+                config.buffer_size,
+                sid,
+            );
         }
         if !sim.step() {
             break;
         }
     }
 
-    let devices: Vec<DeviceSim> = ctx
+    let devices: Vec<DeviceSim> = run
         .pool
         .devices()
         .iter()
@@ -1972,84 +1925,72 @@ fn simulate_service<'a>(
         .collect();
 
     let stage_busy = StageBusy {
-        read: reader.busy_time() + prep.busy_time(),
+        read: run.reader.busy_time() + run.prep.busy_time(),
         transfer: devices.iter().map(|d| d.transfer_busy).sum(),
         kernel: devices.iter().map(|d| d.kernel_busy).sum(),
-        store: devices.iter().map(|d| d.return_busy).sum::<Dur>() + store.busy_time(),
+        store: devices.iter().map(|d| d.return_busy).sum::<Dur>() + run.store.busy_time(),
     };
 
-    let stage_acct = stage_acct.borrow();
+    let mut st = run.st.borrow_mut();
     let stages = specs
         .iter()
         .enumerate()
         .map(|(k, spec)| StageReport {
             kind: spec.kind,
             name: spec.name.to_string(),
-            busy: stage_servers[k].busy_time(),
-            queue_wait: stage_acct[k].0,
-            jobs: stage_acct[k].1,
+            busy: run.stage_servers[k].busy_time(),
+            queue_wait: st.stage_acct[k].0,
+            jobs: st.stage_acct[k].1,
         })
         .collect();
 
-    let sched = ctx.sched.borrow();
-    let sessions: Vec<SessionSim> = (0..n)
-        .map(|s| SessionSim {
-            first_admit: sched.first_admit[s].unwrap_or(SimTime::ZERO),
-            completion: sched.completion[s],
-            queue_wait: sched.queue_wait[s],
-            timeline: sched.timelines[s].clone(),
+    let timelines = std::mem::take(&mut st.timelines);
+    let sessions: Vec<SessionSim> = timelines
+        .into_iter()
+        .enumerate()
+        .map(|(s, timeline)| SessionSim {
+            first_admit: st.first_admit[s].unwrap_or(SimTime::ZERO),
+            completion: st.completion[s],
+            queue_wait: st.queue_wait[s],
+            timeline,
         })
         .collect();
 
-    let svc = ctx.svc.borrow();
+    let service = std::mem::take(&mut st.service);
     // The effective end of the run: the last completion, shed or
     // arrival. (The raw calendar can run longer — a no-op shed timer of
     // an already-admitted request still fires — but dead timers are not
     // service activity and must not inflate the makespan.)
-    let mut end = SimTime::ZERO;
-    for s in &sessions {
-        end = end.max(s.completion);
-    }
-    for t in svc.done.iter().chain(svc.shed.iter()).flatten() {
-        end = end.max(*t);
-    }
-    for t in &svc.arrival {
-        end = end.max(*t);
-    }
+    let end = sessions
+        .iter()
+        .map(|s| s.completion)
+        .chain(service.done.iter().chain(&service.shed).flatten().copied())
+        .chain(service.arrival.iter().copied())
+        .fold(SimTime::ZERO, SimTime::max);
 
-    let service = ServiceSimOut {
-        arrival: svc.arrival.clone(),
-        admit: svc.admit.clone(),
-        first_chunk: svc.first_chunk.clone(),
-        done: svc.done.clone(),
-        shed: svc.shed.clone(),
-        depth_points: svc.depth_points.clone(),
-        max_depth: svc.max_depth,
-        session_service: svc.session_service.clone(),
-    };
-    drop(svc);
-
-    let faults = match &ctx.faults {
-        Some(frt) => {
-            let mut f = frt.borrow_mut();
-            let dead_devices: Vec<usize> = (0..gpus).filter(|&d| f.dead[d]).collect();
-            f.report.dead_devices = dead_devices;
+    let faults = match st.faults.take() {
+        Some(mut f) => {
+            f.report.dead_devices = (0..gpus)
+                .filter(|&d| !run.pool.device(d).is_alive())
+                .collect();
             f.report.slowdowns = (0..gpus)
                 .filter_map(|d| {
-                    let s = ctx.pool.device(d).slowdown();
+                    let s = run.pool.device(d).slowdown();
                     (s != 1.0).then_some((d, s))
                 })
                 .collect();
-            f.report.clone()
+            f.report
         }
         None => FaultReport::default(),
     };
+    let placement = std::mem::take(&mut st.placement);
+    drop(st);
 
     // Drain the recorder into a report, first deriving the
     // request-lane spans and summary metrics from the service
     // timestamps the run already keeps — the "reports are views" hook:
     // the same numbers ServiceReport is built from, as trace records.
-    let telemetry = ctx.trace.as_ref().map(|t| {
+    let telemetry = run.trace.as_ref().map(|t| {
         let makespan = end.saturating_since(SimTime::ZERO);
         let mut rec = t.borrow_mut();
         for sid in 0..n {
@@ -2117,7 +2058,6 @@ fn simulate_service<'a>(
         rec.finish_report()
     });
 
-    let placement = ctx.placement.borrow().clone();
     SimResult {
         sessions,
         placement,

@@ -7,6 +7,7 @@
 //! before uploading chunks to DataNodes, deduplicating splits whose
 //! content is already stored.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
@@ -106,6 +107,10 @@ pub struct SplitData {
 
 /// The Inc-HDFS cluster: one NameNode plus `n` DataNodes.
 ///
+/// Each distinct chunk is stored once, on the DataNode the round-robin
+/// placement picked when it was first uploaded. Replication and node
+/// failures are modelled by the sharded fleet in `shredder-cluster`.
+///
 /// # Examples
 ///
 /// ```
@@ -121,81 +126,33 @@ pub struct IncHdfs {
     namenode: NameNode,
     datanodes: Vec<ChunkStore>,
     next_node: usize,
-    replication: usize,
-    dead: std::collections::BTreeSet<usize>,
-    /// All nodes holding each chunk (the replica map the NameNode keeps
-    /// in real HDFS). Ordered so reports iterate deterministically.
-    replicas: std::collections::BTreeMap<Digest, Vec<usize>>,
+    /// The DataNode holding each stored chunk (the block map the
+    /// NameNode keeps in real HDFS). Ordered so iteration is
+    /// deterministic.
+    locations: BTreeMap<Digest, usize>,
 }
 
 impl IncHdfs {
-    /// Creates a cluster with `datanodes` DataNodes and no replication.
+    /// Creates a cluster with `datanodes` DataNodes.
     ///
     /// # Panics
     ///
     /// Panics if `datanodes` is zero.
     pub fn new(datanodes: usize) -> Self {
-        IncHdfs::with_replication(datanodes, 1)
-    }
-
-    /// Creates a cluster storing each chunk on `replication` distinct
-    /// DataNodes (HDFS defaults to 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `datanodes` is zero or `replication` is zero or exceeds
-    /// the node count.
-    pub fn with_replication(datanodes: usize, replication: usize) -> Self {
         assert!(datanodes > 0, "need at least one datanode");
-        assert!(
-            (1..=datanodes).contains(&replication),
-            "replication must be between 1 and the node count"
-        );
         IncHdfs {
             namenode: NameNode::new(),
             datanodes: vec![ChunkStore::new(); datanodes],
             next_node: 0,
-            replication,
-            dead: Default::default(),
-            replicas: Default::default(),
+            locations: BTreeMap::new(),
         }
     }
 
-    /// Marks a DataNode as failed: reads fall back to replicas and new
-    /// placements avoid it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn fail_datanode(&mut self, node: usize) {
-        assert!(node < self.datanodes.len(), "no such datanode");
-        self.dead.insert(node);
-    }
-
-    /// Brings a failed DataNode back (its stored chunks reappear).
-    pub fn revive_datanode(&mut self, node: usize) {
-        self.dead.remove(&node);
-    }
-
-    /// Borrowed, copy-free read of a chunk from any live replica.
-    fn fetch_ref(&self, digest: &Digest, primary: usize) -> Option<&[u8]> {
-        if !self.dead.contains(&primary) {
-            if let Some(b) = self.datanodes[primary].read_chunk(digest) {
-                return Some(b);
-            }
-        }
-        self.replicas.get(digest)?.iter().find_map(|&n| {
-            if self.dead.contains(&n) {
-                None
-            } else {
-                self.datanodes[n].read_chunk(digest)
-            }
-        })
-    }
-
-    /// Fetches a chunk from any live replica as owned bytes.
-    fn fetch(&self, digest: &Digest, primary: usize) -> Option<Bytes> {
-        self.fetch_ref(digest, primary).map(Bytes::copy_from_slice)
+    /// Borrowed, copy-free read of a chunk from its DataNode.
+    fn fetch(&self, digest: &Digest, node: usize) -> Result<&[u8], HdfsError> {
+        self.datanodes[node]
+            .read_chunk(digest)
+            .ok_or(HdfsError::MissingChunk(*digest))
     }
 
     /// The NameNode (metadata queries).
@@ -250,63 +207,18 @@ impl IncHdfs {
         ))
     }
 
-    /// Batch ingestion: uploads several files in one multi-stream engine
-    /// run, so their chunking — and the record-aligned fingerprinting of
-    /// every split — contends for and overlaps on **one** shared device
-    /// pipeline (the §4.2 pipeline kept saturated across files instead
-    /// of drained between them).
-    ///
-    /// Returns one report per `(path, data)` pair, in order. Each file's
-    /// `chunking_time` is its own chunk-only duration (first admit →
-    /// last Store completion) inside the shared run.
-    ///
-    /// # Errors
-    ///
-    /// [`HdfsError::Chunking`] if the engine rejects the configuration
-    /// or a kernel launch fails; no file is committed in that case.
-    pub fn copy_many_gpu(
-        &mut self,
-        files: &[(&str, &[u8])],
-        shredder: &Shredder,
-        format: &dyn InputFormat,
-    ) -> Result<Vec<UploadReport>, HdfsError> {
-        let mut sinks: Vec<RecordAlignedSink> = files
-            .iter()
-            .map(|_| RecordAlignedSink::new(format))
-            .collect();
-        let outcome = {
-            let mut engine = shredder.engine();
-            for ((path, data), sink) in files.iter().zip(sinks.iter_mut()) {
-                engine.open_sink_session(path.to_string(), 1, SliceSource::new(data), sink);
-            }
-            engine.run()?
-        };
-
-        let mut reports = Vec::with_capacity(files.len());
-        for ((sink, (path, data)), per) in
-            sinks.into_iter().zip(files).zip(&outcome.report.sessions)
-        {
-            let chunking_time = per
-                .timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO);
-            reports.push(self.commit(
-                path,
-                data,
-                &sink.into_aligned(),
-                chunking_time,
-                per.makespan,
-            ));
-        }
-        Ok(reports)
-    }
-
-    /// Online-service ingestion: uploads arrive *inside* the simulation
+    /// Multi-file ingestion: uploads arrive *inside* the simulation
     /// according to `workload` (open-loop Poisson, closed loop, trace
-    /// replay or batch) and pass through the bounded admission queue of
+    /// replay or batch) and pass through the admission queue of
     /// `control` — the Shredder-enabled HDFS client as a long-lived
-    /// ingest frontend instead of a closed batch.
+    /// ingest frontend. Their chunking, and the record-aligned
+    /// fingerprinting of every split, contend for and overlap on one
+    /// shared device pipeline. A closed batch is [`Workload::Batch`]
+    /// with [`AdmissionControl::unbounded`].
+    ///
+    /// Each file's `chunking_time` is its own chunk-only duration
+    /// (first admit → last Store completion) inside the shared run, and
+    /// its `upload_makespan` is its request latency (arrival → done).
     ///
     /// Returns one result per `(path, data)` pair in order (shed
     /// uploads carry [`HdfsError::Chunking`] wrapping
@@ -344,11 +256,7 @@ impl IncHdfs {
             service.run(workload).map_err(HdfsError::Chunking)?
         };
 
-        let service_report = outcome
-            .report
-            .service
-            .clone()
-            .expect("service runs always carry a ServiceReport");
+        let service_report = outcome.service().clone();
         let mut reports = Vec::with_capacity(files.len());
         for ((sink, (path, data)), result) in sinks.into_iter().zip(files).zip(outcome.requests) {
             match result.outcome {
@@ -392,39 +300,25 @@ impl IncHdfs {
             let payload = chunk.slice(data);
             let digest = *digest;
             // Dedup across the whole cluster: if the chunk is already
-            // replicated somewhere, point there; otherwise place it on
-            // `replication` live nodes round-robin.
-            let node = match self.replicas.get(&digest).and_then(|r| r.first().copied()) {
-                Some(primary) => {
+            // stored somewhere, point there; otherwise place it on the
+            // next DataNode round-robin.
+            let node = match self.locations.get(&digest) {
+                Some(&node) => {
                     dedup_bytes += chunk.len as u64;
-                    // Register the logical reference on the primary
-                    // (a dedup hit: `put_slice` copies nothing).
-                    self.datanodes[primary].put_slice(digest, payload);
-                    primary
+                    node
                 }
                 None => {
-                    let mut placed = Vec::with_capacity(self.replication);
-                    let total = self.datanodes.len();
-                    let mut probe = 0usize;
-                    while placed.len() < self.replication && probe < total {
-                        let n = self.next_node;
-                        self.next_node = (self.next_node + 1) % total;
-                        probe += 1;
-                        if self.dead.contains(&n) || placed.contains(&n) {
-                            continue;
-                        }
-                        self.datanodes[n].put_slice(digest, payload);
-                        placed.push(n);
-                    }
-                    // Fewer live nodes than the replication factor: store
-                    // on whatever is available (possibly fewer copies).
-                    let primary = placed.first().copied().unwrap_or(0);
-                    self.replicas.insert(digest, placed);
+                    let node = self.next_node;
+                    self.next_node = (node + 1) % self.datanodes.len();
+                    self.locations.insert(digest, node);
                     new_bytes += chunk.len as u64;
                     new_splits += 1;
-                    primary
+                    node
                 }
             };
+            // Registers the logical reference (a dedup hit copies
+            // nothing).
+            self.datanodes[node].put_slice(digest, payload);
             splits.push(SplitMeta {
                 digest,
                 offset: chunk.offset,
@@ -476,10 +370,7 @@ impl IncHdfs {
         for s in &v.splits {
             // Borrowed read: the payload is appended straight from the
             // DataNode's segment log, no intermediate copy.
-            let payload = self
-                .fetch_ref(&s.digest, s.datanode)
-                .ok_or(HdfsError::MissingChunk(s.digest))?;
-            out.extend_from_slice(payload);
+            out.extend_from_slice(self.fetch(&s.digest, s.datanode)?);
         }
         Ok(out)
     }
@@ -497,9 +388,7 @@ impl IncHdfs {
         v.splits
             .iter()
             .map(|&meta| {
-                let bytes = self
-                    .fetch(&meta.digest, meta.datanode)
-                    .ok_or(HdfsError::MissingChunk(meta.digest))?;
+                let bytes = Bytes::copy_from_slice(self.fetch(&meta.digest, meta.datanode)?);
                 Ok(SplitData { meta, bytes })
             })
             .collect()
@@ -619,8 +508,8 @@ mod tests {
                 .with_params(ChunkParams::paper().with_expected_size(4096))
                 .with_buffer_size(64 << 10),
         );
-        let reports = fs
-            .copy_many_gpu(
+        let (reports, _) = fs
+            .copy_service_gpu(
                 &[
                     ("/a", a.as_slice()),
                     ("/b", b.as_slice()),
@@ -628,8 +517,11 @@ mod tests {
                 ],
                 &shredder,
                 &TextInputFormat,
+                &Workload::Batch,
+                AdmissionControl::unbounded(),
             )
             .unwrap();
+        let reports: Vec<UploadReport> = reports.into_iter().map(Result::unwrap).collect();
         assert_eq!(reports.len(), 3);
         assert_eq!(fs.read("/a").unwrap(), a);
         assert_eq!(fs.read("/b").unwrap(), b);
@@ -650,8 +542,6 @@ mod tests {
 
     #[test]
     fn service_ingest_matches_batch_and_sheds_cleanly() {
-        use shredder_core::{AdmissionControl, ChunkError, Workload};
-
         let data: Vec<Vec<u8>> = (21..25).map(corpus).collect();
         let files: Vec<(&str, &[u8])> = vec![
             ("/s0", data[0].as_slice()),
@@ -680,11 +570,17 @@ mod tests {
         assert_eq!(svc.completed, 4);
         assert_eq!(svc.shed, 0);
         let mut batch_fs = IncHdfs::new(4);
-        let batch = batch_fs
-            .copy_many_gpu(&files, &shredder, &TextInputFormat)
+        let (batch, _) = batch_fs
+            .copy_service_gpu(
+                &files,
+                &shredder,
+                &TextInputFormat,
+                &Workload::Batch,
+                AdmissionControl::unbounded(),
+            )
             .unwrap();
         for ((r, b), (path, content)) in reports.iter().zip(&batch).zip(&files) {
-            let r = r.as_ref().unwrap();
+            let (r, b) = (r.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(r.splits, b.splits);
             assert_eq!(r.new_bytes, b.new_bytes);
             assert_eq!(fs.read(path).unwrap(), *content);
@@ -725,55 +621,6 @@ mod tests {
             fs.read_version("/f", 5),
             Err(HdfsError::VersionNotFound { .. })
         ));
-    }
-
-    #[test]
-    fn replication_stores_multiple_copies() {
-        let mut fs = IncHdfs::with_replication(5, 3);
-        let data = corpus(7);
-        fs.copy_from_local("/f", &data, 64 << 10);
-        // Roughly 3x the data stored physically (dedup of repeated
-        // chunks makes it <= exactly 3x).
-        let ratio = fs.physical_bytes() as f64 / data.len() as f64;
-        assert!((2.5..=3.0).contains(&ratio), "ratio {ratio}");
-        assert_eq!(fs.read("/f").unwrap(), data);
-    }
-
-    #[test]
-    fn reads_survive_node_failures_up_to_replication() {
-        let mut fs = IncHdfs::with_replication(5, 3);
-        let data = corpus(8);
-        fs.copy_from_local_gpu("/f", &data, &service(), &TextInputFormat)
-            .unwrap();
-
-        fs.fail_datanode(0);
-        fs.fail_datanode(2);
-        assert_eq!(fs.read("/f").unwrap(), data, "2 failures, 3 replicas");
-        assert!(fs.splits("/f").is_ok());
-
-        // A third failure can lose chunks...
-        fs.fail_datanode(4);
-        let lost = fs.read("/f");
-        // ...but reviving restores access.
-        fs.revive_datanode(0);
-        assert_eq!(fs.read("/f").unwrap(), data);
-        // (With 3-of-5 nodes dead, some chunk had all replicas dark.)
-        assert!(lost.is_err() || lost.unwrap() == data);
-    }
-
-    #[test]
-    fn unreplicated_cluster_loses_data_on_failure() {
-        let mut fs = IncHdfs::new(4);
-        let data = corpus(9);
-        fs.copy_from_local("/f", &data, 64 << 10);
-        fs.fail_datanode(1);
-        assert!(matches!(fs.read("/f"), Err(HdfsError::MissingChunk(_))));
-    }
-
-    #[test]
-    #[should_panic(expected = "replication must be between")]
-    fn oversized_replication_panics() {
-        let _ = IncHdfs::with_replication(2, 3);
     }
 
     #[test]

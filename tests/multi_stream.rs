@@ -8,7 +8,8 @@
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    AdmissionControl, AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine,
+    SliceSource, Workload,
 };
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::rabin::{chunk_all, ChunkParams};
@@ -158,10 +159,17 @@ fn hdfs_batch_ingestion_through_one_engine() {
             .with_params(ChunkParams::paper().with_expected_size(4096))
             .with_buffer_size(256 << 10),
     );
-    let reports = fs
-        .copy_many_gpu(&named, &shredder, &TextInputFormat)
+    let (reports, _) = fs
+        .copy_service_gpu(
+            &named,
+            &shredder,
+            &TextInputFormat,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
         .unwrap();
     assert_eq!(reports.len(), 4);
+    assert!(reports.iter().all(Result::is_ok));
     for (path, data) in &named {
         assert_eq!(&fs.read(path).unwrap(), data);
     }
