@@ -23,14 +23,19 @@ use std::collections::HashSet;
 use std::fmt::Debug;
 use std::rc::Rc;
 
+use shredder::backup::{BackupConfig, BackupServer};
 use shredder::cluster::{FleetConfig, FleetRequest, ShredderFleet};
 use shredder::core::{
     AdmissionControl, AdmissionPolicy, ChunkRequest, DedupSink, DedupSinkConfig, FaultPlan,
-    MemorySource, ServiceOutcome, Shredder, ShredderConfig, ShredderEngine, ShredderService,
-    SinkPipelineHints, SliceSource, TelemetryConfig, TenantClass, Workload,
+    HostChunker, HostChunkerConfig, MemorySource, ServiceOutcome, Shredder, ShredderConfig,
+    ShredderEngine, ShredderService, SinkPipelineHints, SliceSource, TelemetryConfig, TenantClass,
+    Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::{sha256, Digest};
+use shredder::hdfs::{IncHdfs, TextInputFormat};
+use shredder::mapreduce::runner::content_defined_splits;
+use shredder::rabin::{Chunk, ChunkParams};
 use shredder::workloads;
 
 /// Asserts that the SHA-256 of `value`'s `Debug` form is `expected`.
@@ -343,5 +348,135 @@ fn golden_fleet_two_nodes_two_replicas() {
         "fleet outcomes",
         &outcomes,
         "e5a876334239ef7d98fa415e2f63aa2d430c5ccdcfbcfdcb6de32528713ab308",
+    );
+}
+
+/// Chunks one stream with a host chunker. The glob import names the
+/// chunking entry point and its outcome type together.
+fn host_chunks(chunker: &HostChunker, data: &[u8]) -> Vec<Chunk> {
+    use shredder::core::*;
+    let outcome: ChunkOutcome = chunker.chunk_stream(data).expect("host chunking failed");
+    outcome.chunks
+}
+
+/// What the host chunker computes, with timings left out: host
+/// timings are model outputs that a change of the host model may move,
+/// while chunks, dedup decisions, splits and digests must not.
+///
+/// Pins the chunks of both Figure 12 host configurations over the
+/// golden streams; the per-image dedup outcome and site manifests of a
+/// CPU backup of a master image and two images derived from it; the
+/// splits Inc-HDFS stores for two versions of one file; and the splits
+/// `content_defined_splits` builds.
+#[test]
+fn golden_host_chunker_functional_results() {
+    let data = streams();
+    let chunks: Vec<Vec<Vec<Chunk>>> = [
+        HostChunkerConfig::optimized(),
+        HostChunkerConfig::unoptimized(),
+    ]
+    .into_iter()
+    .map(|config| {
+        let chunker = HostChunker::new(config);
+        data.iter().map(|d| host_chunks(&chunker, d)).collect()
+    })
+    .collect();
+    assert_eq!(chunks[0], chunks[1], "the allocator changes timing only");
+    pin(
+        "host chunks",
+        &chunks,
+        "e61e643be23ea1a529804fb35b353ce2ff73da6c7da6ee48f4e4fbcf59139af6",
+    );
+
+    // A master image and two derived images through a CPU backup server.
+    let cpu = HostChunker::new(HostChunkerConfig {
+        params: ChunkParams::backup(),
+        ..HostChunkerConfig::optimized()
+    });
+    let master = workloads::MasterImage::synthesize(1 << 20, 16 << 10, 0xbac);
+    let table = workloads::SimilarityTable::uniform(master.segments(), 0.2);
+    let images = [
+        master.data().to_vec(),
+        master.derive(&table, 1),
+        master.derive(&table, 2),
+    ];
+    let mut server = BackupServer::new(BackupConfig {
+        buffer_size: 256 << 10,
+        ..BackupConfig::paper()
+    });
+    let mut backups = Vec::new();
+    for image in &images {
+        let r = server.backup_image(image, &cpu).expect("cpu backup failed");
+        let restored = server.site().restore(r.image_id).expect("restore failed");
+        assert_eq!(&restored, image);
+        let manifest = server
+            .site()
+            .store()
+            .manifest("images", r.image_id as u64)
+            .expect("manifest committed")
+            .clone();
+        backups.push((
+            (r.image_id, r.image_bytes, r.chunks),
+            (r.new_chunks, r.new_bytes, r.dedup_bytes),
+            manifest,
+        ));
+    }
+    let index = (server.index().lookups(), server.index().hits());
+    pin(
+        "cpu backup verdicts",
+        &(backups, index),
+        "95a11da5c24b99df21e80de17bfe039353c177219b8fe83424c13af9673e173b",
+    );
+
+    // Two versions of one file through Inc-HDFS, and the same corpus
+    // through `content_defined_splits`.
+    let text = HostChunker::new(HostChunkerConfig {
+        params: ChunkParams::paper().with_expected_size(4096),
+        ..HostChunkerConfig::optimized()
+    });
+    let v1 = workloads::words_corpus(200_000, 300, 0x1dc);
+    let mut v2 = v1.clone();
+    v2.splice(
+        90_000..90_000,
+        b"an inserted line of fresh words\n".iter().copied(),
+    );
+    let mut fs = IncHdfs::new(3);
+    let mut uploads = Vec::new();
+    for v in [&v1, &v2] {
+        let r = fs
+            .copy_from_local_gpu("/corpus", v, &text, &TextInputFormat)
+            .expect("upload failed");
+        uploads.push((
+            r.version,
+            r.total_bytes,
+            r.new_bytes,
+            r.dedup_bytes,
+            r.splits,
+            r.new_splits,
+        ));
+    }
+    let stored: Vec<_> = (0..2)
+        .map(|v| {
+            fs.namenode()
+                .version("/corpus", v)
+                .expect("version")
+                .splits
+                .clone()
+        })
+        .collect();
+    pin(
+        "inc-hdfs splits",
+        &(uploads, stored),
+        "4073f0a19cd6f596586ea47fa4b6a74182538f44406f115fd5297d35b0aeb1b6",
+    );
+    let splits: Vec<_> = content_defined_splits(&v2, &text, &TextInputFormat)
+        .expect("content-defined splits failed")
+        .into_iter()
+        .map(|s| s.meta)
+        .collect();
+    pin(
+        "content-defined splits",
+        &splits,
+        "9d5dc0661c77ec2422798a819fe0123ac9602147dff65f0ff169ae4b38646f01",
     );
 }
