@@ -57,5 +57,5 @@ pub mod site;
 
 pub use config::BackupConfig;
 pub use index::DedupIndex;
-pub use server::{BackupReport, BackupServer, BatchBackupReport};
+pub use server::{BackupReport, BackupServer, ServiceBackupReport};
 pub use site::BackupSite;

@@ -8,20 +8,23 @@
 //! bandwidth (Figure 18) is `image bytes / makespan`.
 //!
 //! The hash → lookup → ship tail is a [`DedupSink`] graph: its stages
-//! execute *inside* the chunking service's simulation (the shared
-//! engine simulation for [`Shredder`], a staged pipeline behind the
-//! measured chunking rate otherwise), so fingerprinting genuinely
-//! overlaps — and backpressures — chunking instead of being
+//! execute *inside* the engine's simulation, whether the pool holds
+//! GPUs or the host cores of the pthreads baseline, so fingerprinting
+//! genuinely overlaps — and backpressures — chunking instead of being
 //! post-processed with analytic formulas.
+//!
+//! Every backup is a request of the online service frontend
+//! ([`BackupServer::backup_service`]); [`BackupServer::backup_image`] is
+//! the one-image batch. The §7.3 ingest cap is the one bandwidth limit
+//! of the `"site"` [`TenantClass`].
 
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_core::{
-    AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, ChunkingService, DedupSink,
-    DedupSinkConfig, EngineReport, ServiceReport, Shredder, ShredderEngine, ShredderService,
-    SinkPipelineHints, SliceSource, TenantClass, Workload,
+    AdmissionControl, ChunkError, ChunkRequest, ChunkVerdict, DedupSink, DedupSinkConfig,
+    EngineReport, ServiceReport, Shredder, ShredderService, SliceSource, TenantClass, Workload,
 };
 use shredder_des::Dur;
 
@@ -68,20 +71,6 @@ impl BackupReport {
     }
 }
 
-/// Outcome of backing up several site streams in one engine batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchBackupReport {
-    /// Per-image reports, in submission order.
-    pub reports: Vec<BackupReport>,
-    /// The shared chunking engine's aggregate report (per-site makespan,
-    /// queueing, aggregate GB/s).
-    pub engine: EngineReport,
-    /// Cumulative dedup-index lookups on the server after this batch.
-    pub index_lookups: u64,
-    /// Cumulative dedup-index hits (duplicates found) after this batch.
-    pub index_hits: u64,
-}
-
 /// Outcome of serving a stream of backup requests through the online
 /// service frontend ([`BackupServer::backup_service`]).
 #[derive(Debug)]
@@ -120,24 +109,18 @@ impl ServiceBackupReport {
     pub fn shed(&self) -> usize {
         self.reports.len() - self.completed()
     }
-}
 
-impl BatchBackupReport {
-    /// Total image bytes across the batch.
-    pub fn total_bytes(&self) -> u64 {
-        self.reports.iter().map(|r| r.image_bytes).sum()
-    }
-
-    /// Aggregate backup bandwidth of the batch in Gbps: total bytes over
-    /// the shared engine makespan. Every stage — chunking *and* the
-    /// hash/dedup/ship sink graph — runs in the one shared simulation,
-    /// so the sites' pipelines genuinely overlap and the batch finishes
-    /// when the last sink stage drains.
+    /// Aggregate backup bandwidth in Gbps: the completed images' bytes
+    /// over the shared engine makespan. Chunking *and* the
+    /// hash/dedup/ship sink graph run in the one shared simulation, so
+    /// the sites' pipelines overlap and the run ends when the last sink
+    /// stage drains.
     pub fn aggregate_bandwidth_gbps(&self) -> f64 {
         if self.engine.makespan.is_zero() {
             return 0.0;
         }
-        self.total_bytes() as f64 * 8.0 / self.engine.makespan.as_secs_f64() / 1e9
+        let bytes: u64 = self.reports.iter().flatten().map(|r| r.image_bytes).sum();
+        bytes as f64 * 8.0 / self.engine.makespan.as_secs_f64() / 1e9
     }
 
     /// Fraction of index lookups that found a duplicate, in `[0, 1]` —
@@ -161,14 +144,14 @@ impl BatchBackupReport {
 /// use shredder_rabin::ChunkParams;
 ///
 /// let mut server = BackupServer::new(BackupConfig::paper());
-/// let service = HostChunker::new(HostChunkerConfig {
+/// let cpu = HostChunker::new(HostChunkerConfig {
 ///     params: ChunkParams::backup(),
 ///     ..HostChunkerConfig::optimized()
 /// });
 /// let image = shredder_workloads::compressible_bytes(512 << 10, 128, 3);
 ///
-/// let first = server.backup_image(&image, &service).unwrap();
-/// let second = server.backup_image(&image, &service).unwrap();
+/// let first = server.backup_image(&image, &cpu).unwrap();
+/// let second = server.backup_image(&image, &cpu).unwrap();
 /// // An identical snapshot deduplicates (almost) entirely.
 /// assert!(second.dedup_fraction() > 0.99);
 /// assert!(second.new_bytes < first.new_bytes);
@@ -214,14 +197,9 @@ impl BackupServer {
     }
 
     /// The server's consumer graph configuration: hash → dedup → ship at
-    /// the §7.3 stage rates, batched at the server's buffer size.
-    ///
-    /// The per-site ingest cap is *not* part of the sink: the legacy
-    /// single-image path ([`backup_image`](Self::backup_image)) passes
-    /// it explicitly through
-    /// [`chunk_stream_sink_capped`](ChunkingService::chunk_stream_sink_capped),
-    /// and the request path ([`backup_service`](Self::backup_service))
-    /// models it as a [`TenantClass`] bandwidth limit.
+    /// the §7.3 stage rates. The per-site ingest cap is not part of the
+    /// sink: [`backup_service`](Self::backup_service) models it as the
+    /// `"site"` [`TenantClass`] bandwidth limit.
     fn sink_config(&self) -> DedupSinkConfig {
         DedupSinkConfig {
             hash_bw: self.config.hash_bw,
@@ -230,94 +208,30 @@ impl BackupServer {
             ship_bw: self.config.ship_bw,
             pointer_bytes: self.config.pointer_bytes,
             ship_chunk_overhead: self.config.ship_chunk_overhead,
-            hints: SinkPipelineHints {
-                granularity: self.config.buffer_size,
-                depth: self.config.pipeline_depth,
-            },
         }
     }
 
-    /// Backs up one image snapshot through the given chunking engine:
-    /// the hash/dedup/ship tail runs as a [`DedupSink`] inside the
-    /// service's simulation.
+    /// Backs up one image snapshot: a one-image batch of
+    /// [`backup_service`](Self::backup_service), so the hash/dedup/ship
+    /// tail runs as a [`DedupSink`] inside the engine's simulation,
+    /// behind the §7.3 ingest link.
     ///
     /// # Errors
     ///
-    /// [`ChunkError`] if the chunking service fails; nothing is stored
+    /// [`ChunkError`] if the chunking engine fails; nothing is stored
     /// in that case.
     pub fn backup_image(
         &mut self,
         image: &[u8],
-        service: &dyn ChunkingService,
-    ) -> Result<BackupReport, ChunkError> {
-        let mut sink = DedupSink::new(self.sink_config(), self.index.clone());
-        // The §7.3 image source feeds the chunker at the ingest rate.
-        let outcome =
-            service.chunk_stream_sink_capped(image, &mut sink, Some(self.config.ingest_bw))?;
-        Ok(self.commit_image(
-            image,
-            &sink.into_verdicts(),
-            outcome.report.makespan(),
-            outcome.makespan,
-        ))
-    }
-
-    /// Backs up several site streams in **one batch**: every image is a
-    /// sink session on one shared multi-stream engine (§7.2's server
-    /// handling many remote sites). Chunking, fingerprinting, index
-    /// lookup and shipping for all sites contend for and overlap on the
-    /// same simulated hardware; the returned [`EngineReport`] carries
-    /// per-stage (chunk/hash/dedup/ship) busy and queue-wait times.
-    ///
-    /// # Errors
-    ///
-    /// [`ChunkError`] if the engine fails; no image is stored in that
-    /// case.
-    pub fn backup_batch(
-        &mut self,
-        images: &[&[u8]],
         shredder: &Shredder,
-    ) -> Result<BatchBackupReport, ChunkError> {
-        // The engine's reader models the image source here, so cap it at
-        // the §7.3 ingest rate.
-        let mut cfg = shredder.config().clone();
-        cfg.reader_bandwidth = cfg.reader_bandwidth.min(self.config.ingest_bw);
-
-        let mut sinks: Vec<DedupSink> = images
-            .iter()
-            .map(|_| DedupSink::new(self.sink_config(), self.index.clone()))
-            .collect();
-        let outcome = {
-            let mut engine = ShredderEngine::new(cfg);
-            for (i, (image, sink)) in images.iter().zip(sinks.iter_mut()).enumerate() {
-                engine.open_sink_session(format!("site-{i}"), 1, SliceSource::new(image), sink);
-            }
-            engine.run()?
-        };
-
-        let mut reports = Vec::with_capacity(images.len());
-        for ((image, sink), per) in images.iter().zip(sinks).zip(&outcome.report.sessions) {
-            // Chunk-only duration of this session alone: first admission
-            // to the last buffer leaving the Store thread (the sink
-            // stages extend the session makespan beyond that).
-            let chunking_time = per
-                .timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO);
-            reports.push(self.commit_image(
-                image,
-                &sink.into_verdicts(),
-                chunking_time,
-                per.makespan,
-            ));
-        }
-        Ok(BatchBackupReport {
-            reports,
-            engine: outcome.report,
-            index_lookups: self.index.borrow().lookups(),
-            index_hits: self.index.borrow().hits(),
-        })
+    ) -> Result<BackupReport, ChunkError> {
+        let mut outcome = self.backup_service(
+            &[image],
+            shredder,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )?;
+        outcome.reports.swap_remove(0)
     }
 
     /// Serves a stream of backup requests through the **online service
@@ -327,10 +241,9 @@ impl BackupServer {
     /// and may be shed with [`ChunkError::Overloaded`] under overload.
     ///
     /// The per-site ingest cap (§7.3's 10 Gbps image source) is modeled
-    /// as a [`TenantClass`] bandwidth limit on the `"site"` class — the
-    /// first-class form of the explicit per-call cap the legacy paths
-    /// ([`backup_image`](Self::backup_image),
-    /// [`backup_batch`](Self::backup_batch)) thread through by hand.
+    /// as a [`TenantClass`] bandwidth limit on the `"site"` class. A
+    /// closed batch is [`Workload::Batch`] with
+    /// [`AdmissionControl::unbounded`].
     ///
     /// A shed request touches nothing: its image is not hashed, its
     /// fingerprints never enter the index, and the site stores no
@@ -488,10 +401,11 @@ mod tests {
     use shredder_workloads::{MasterImage, SimilarityTable};
 
     fn cpu_service() -> HostChunker {
-        HostChunker::new(HostChunkerConfig {
+        let host = HostChunkerConfig {
             params: ChunkParams::backup(),
             ..HostChunkerConfig::optimized()
-        })
+        };
+        HostChunker::new(ShredderConfig::from(host).with_buffer_size(256 << 10))
     }
 
     fn gpu_service() -> Shredder {
@@ -500,6 +414,22 @@ mod tests {
                 .with_params(ChunkParams::backup())
                 .with_buffer_size(256 << 10),
         )
+    }
+
+    /// A closed batch through the service frontend.
+    fn batch(
+        server: &mut BackupServer,
+        images: &[&[u8]],
+        shredder: &Shredder,
+    ) -> ServiceBackupReport {
+        server
+            .backup_service(
+                images,
+                shredder,
+                &Workload::Batch,
+                AdmissionControl::unbounded(),
+            )
+            .unwrap()
     }
 
     fn small_config() -> BackupConfig {
@@ -590,24 +520,25 @@ mod tests {
 
         // One batch: all three site streams through one shared engine.
         let mut batch_server = BackupServer::new(small_config());
-        let batch = batch_server.backup_batch(&images, &gpu).unwrap();
-        assert_eq!(batch.reports.len(), 3);
+        let batch = batch(&mut batch_server, &images, &gpu);
+        assert_eq!(batch.completed(), 3);
         assert_eq!(batch.engine.sessions.len(), 3);
-        for (report, snap) in batch.reports.iter().zip(&snaps) {
+        let reports: Vec<&BackupReport> = batch.reports.iter().flatten().collect();
+        for (report, snap) in reports.iter().zip(&snaps) {
             assert_eq!(batch_server.site().restore(report.image_id).unwrap(), *snap);
         }
 
         // Same images sequentially: identical chunking -> identical
         // dedup decisions.
         let mut seq_server = BackupServer::new(small_config());
-        for (report, snap) in batch.reports.iter().zip(&snaps) {
+        for (report, snap) in reports.iter().zip(&snaps) {
             let seq = seq_server.backup_image(snap, &gpu).unwrap();
             assert_eq!(report.chunks, seq.chunks);
             assert_eq!(report.new_chunks, seq.new_chunks);
             assert_eq!(report.new_bytes, seq.new_bytes);
         }
         assert_eq!(
-            batch.total_bytes(),
+            reports.iter().map(|r| r.image_bytes).sum::<u64>(),
             snaps.iter().map(|s| s.len() as u64).sum()
         );
         assert!(batch.aggregate_bandwidth_gbps() > 0.0);
@@ -616,7 +547,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let mut server = BackupServer::new(small_config());
-        let batch = server.backup_batch(&[], &gpu_service()).unwrap();
+        let batch = batch(&mut server, &[], &gpu_service());
         assert!(batch.reports.is_empty());
         assert_eq!(batch.aggregate_bandwidth_gbps(), 0.0);
         assert_eq!(batch.index_hit_rate(), 0.0);
@@ -626,15 +557,11 @@ mod tests {
     fn batch_report_surfaces_index_counters() {
         let mut server = BackupServer::new(small_config());
         let image = shredder_workloads::random_bytes(1 << 20, 31);
-        let first = server
-            .backup_batch(&[image.as_slice()], &gpu_service())
-            .unwrap();
+        let first = batch(&mut server, &[image.as_slice()], &gpu_service());
         assert!(first.index_lookups > 0);
         assert_eq!(first.index_hits, 0, "fresh site holds nothing");
         // The same image again: every lookup hits.
-        let second = server
-            .backup_batch(&[image.as_slice()], &gpu_service())
-            .unwrap();
+        let second = batch(&mut server, &[image.as_slice()], &gpu_service());
         assert_eq!(second.index_lookups, 2 * first.index_lookups);
         assert_eq!(second.index_hits, first.index_lookups);
         assert!((second.index_hit_rate() - 0.5).abs() < 1e-9);
@@ -678,8 +605,6 @@ mod tests {
 
     #[test]
     fn backup_service_poisson_matches_batch_dedup_and_reports_latency() {
-        use shredder_core::{AdmissionControl, Workload};
-
         let master = MasterImage::synthesize(1 << 20, 32 << 10, 51);
         let table = SimilarityTable::uniform(master.segments(), 0.2);
         let snaps: Vec<Vec<u8>> = (1..=3).map(|n| master.derive(&table, n)).collect();
@@ -706,9 +631,9 @@ mod tests {
         assert!(report.class("site").is_some());
 
         let mut batch_server = BackupServer::new(small_config());
-        let batch = batch_server.backup_batch(&images, &gpu).unwrap();
+        let batch = batch(&mut batch_server, &images, &gpu);
         for (s, b) in svc.reports.iter().zip(&batch.reports) {
-            let s = s.as_ref().unwrap();
+            let (s, b) = (s.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(s.chunks, b.chunks);
             assert_eq!(s.new_chunks, b.new_chunks);
             assert_eq!(s.new_bytes, b.new_bytes);
@@ -722,8 +647,6 @@ mod tests {
 
     #[test]
     fn backup_service_sheds_under_overload_without_corrupting_accepted_images() {
-        use shredder_core::{AdmissionControl, ChunkError, Workload};
-
         let images_data: Vec<Vec<u8>> = (0..6u64)
             .map(|s| shredder_workloads::random_bytes(1 << 20, 60 + s))
             .collect();
@@ -754,9 +677,9 @@ mod tests {
             .map(|(_, img)| *img)
             .collect();
         let mut clean = BackupServer::new(small_config());
-        let clean_batch = clean.backup_batch(&accepted, &gpu).unwrap();
+        let clean_batch = batch(&mut clean, &accepted, &gpu);
         let kept: Vec<&BackupReport> = svc.reports.iter().filter_map(|r| r.as_ref().ok()).collect();
-        for (a, b) in kept.iter().zip(&clean_batch.reports) {
+        for (a, b) in kept.iter().zip(clean_batch.reports.iter().flatten()) {
             assert_eq!(a.chunks, b.chunks);
             assert_eq!(
                 a.new_chunks, b.new_chunks,

@@ -14,7 +14,7 @@
 //! identical boundaries or the harness fails.
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line};
-use shredder_core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder_core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
 use shredder_gpu::kernel::KernelVariant;
 
 fn main() {
@@ -26,32 +26,26 @@ fn main() {
     let data = shredder_workloads::random_bytes(shredder_bench::experiment_bytes(), 0xf12);
     let buffer = 32 << 20;
 
-    let engines: Vec<(&str, Box<dyn ChunkingService>)> = vec![
+    let engines: Vec<(&str, Shredder)> = vec![
         (
             "CPU w/o Hoard",
-            Box::new(HostChunker::new(HostChunkerConfig::unoptimized())),
+            HostChunker::new(HostChunkerConfig::unoptimized()),
         ),
         (
             "CPU w/ Hoard",
-            Box::new(HostChunker::new(HostChunkerConfig::optimized())),
+            HostChunker::new(HostChunkerConfig::optimized()),
         ),
         (
             "GPU Basic",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_basic().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_basic().with_buffer_size(buffer)),
         ),
         (
             "GPU Streams",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_streams().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_streams().with_buffer_size(buffer)),
         ),
         (
             "GPU Streams + Memory",
-            Box::new(Shredder::new(
-                ShredderConfig::gpu_streams_memory().with_buffer_size(buffer),
-            )),
+            Shredder::new(ShredderConfig::gpu_streams_memory().with_buffer_size(buffer)),
         ),
     ];
 
@@ -59,7 +53,7 @@ fn main() {
     let mut boundaries: Option<Vec<shredder_rabin::Chunk>> = None;
     for (name, engine) in &engines {
         let outcome = engine.chunk_stream(&data).expect("chunking failed");
-        let bps = outcome.report.bytes() as f64 / outcome.report.makespan().as_secs_f64();
+        let bps = outcome.report.bytes as f64 / outcome.report.makespan.as_secs_f64();
         result_line(name, gbps(bps));
         throughputs.push(bps);
         match &boundaries {
@@ -82,7 +76,7 @@ fn main() {
             .with_chunk_kernel(KernelVariant::GearCoalesced),
     );
     let gear_outcome = gear_engine.chunk_stream(&data).expect("chunking failed");
-    let gear = gear_outcome.report.bytes() as f64 / gear_outcome.report.makespan().as_secs_f64();
+    let gear = gear_outcome.report.bytes as f64 / gear_outcome.report.makespan.as_secs_f64();
     result_line("GPU Streams + Memory (Gear)", gbps(gear));
 
     let cpu_malloc = throughputs[0];

@@ -10,7 +10,9 @@
 
 use shredder_backup::{BackupConfig, BackupServer};
 use shredder_bench::{check, dump_bench_json, header, table};
-use shredder_core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder_core::{
+    AdmissionControl, HostChunker, HostChunkerConfig, Shredder, ShredderConfig, Workload,
+};
 use shredder_rabin::ChunkParams;
 use shredder_workloads::{MasterImage, SimilarityTable};
 
@@ -28,16 +30,20 @@ fn main() {
         .unwrap_or(128);
     let master = MasterImage::synthesize(mb << 20, 256 << 10, 0xf18);
 
-    let cpu = HostChunker::new(HostChunkerConfig {
+    // The §7.2 server reuses Shredder's streaming pipeline as a stage of
+    // its own: one shared buffer size end to end, on host cores and on
+    // the GPU alike. The sink stages batch their work per pipeline
+    // buffer, so the buffer size sets the hash/lookup/ship pipelining
+    // grain — 4 MiB keeps the downstream stages overlapped with chunking
+    // (Figure 3 shows DMA is already near peak bandwidth at this size),
+    // and streams the image through enough admissions to reach steady
+    // state (the paper's servers stream far more data than fits one
+    // pipeline fill).
+    let host = HostChunkerConfig {
         params: ChunkParams::backup(),
         ..HostChunkerConfig::optimized()
-    });
-    // The §7.2 server reuses Shredder's streaming pipeline as a stage of
-    // its own: one shared buffer size end to end. The sink stages batch
-    // their work per pipeline buffer, so the buffer size sets the
-    // hash/lookup/ship pipelining grain — 4 MiB keeps the downstream
-    // stages overlapped with chunking (Figure 3 shows DMA is already
-    // near peak bandwidth at this size).
+    };
+    let cpu = HostChunker::new(ShredderConfig::from(host).with_buffer_size(4 << 20));
     let gpu = Shredder::new(
         ShredderConfig::gpu_streams_memory()
             .with_params(ChunkParams::backup())
@@ -52,14 +58,8 @@ fn main() {
         let table_p = SimilarityTable::uniform(master.segments(), p);
         let snapshot = master.derive(&table_p, (p * 1000.0) as u64);
 
-        let run = |service: &dyn shredder_core::ChunkingService| {
-            // 4 MiB pipeline buffers so the image streams through enough
-            // admissions to reach steady state (the paper's servers
-            // stream far more data than fits one pipeline fill).
-            let mut server = BackupServer::new(BackupConfig {
-                buffer_size: 4 << 20,
-                ..BackupConfig::paper()
-            });
+        let run = |service: &Shredder| {
+            let mut server = BackupServer::new(BackupConfig::paper());
             server
                 .backup_image(master.data(), service)
                 .expect("backup failed"); // seed the site
@@ -130,18 +130,26 @@ fn main() {
         .collect();
     let images: Vec<&[u8]> = snapshots.iter().map(|s| s.as_slice()).collect();
 
-    let mut batch_server = BackupServer::new(BackupConfig {
-        buffer_size: 4 << 20,
-        ..BackupConfig::paper()
-    });
+    let mut batch_server = BackupServer::new(BackupConfig::paper());
     batch_server
         .backup_image(master.data(), &gpu)
         .expect("seed backup failed");
     let batch = batch_server
-        .backup_batch(&images, &gpu)
+        .backup_service(
+            &images,
+            &gpu,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
         .expect("batch backup failed");
+    let reports: Vec<_> = batch.reports.iter().flatten().collect();
+    assert_eq!(
+        reports.len(),
+        images.len(),
+        "an unbounded batch sheds nothing"
+    );
 
-    for (report, snapshot) in batch.reports.iter().zip(&snapshots) {
+    for (report, snapshot) in reports.iter().zip(&snapshots) {
         let restored = batch_server
             .site()
             .restore(report.image_id)
@@ -155,7 +163,7 @@ fn main() {
             r.makespan.as_millis_f64(),
             r.sink_service.as_millis_f64(),
             r.queue_wait.as_millis_f64(),
-            batch.reports[i].dedup_fraction() * 100.0,
+            reports[i].dedup_fraction() * 100.0,
         );
     }
     // Per-stage accounting of the full graph, all from the ONE shared

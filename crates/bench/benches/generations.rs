@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use shredder_bench::{check, dump_bench_json, header, result_line, table};
-use shredder_core::{ChunkingService, Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
+use shredder_core::{Shredder, ShredderConfig, StoreSink, StoreSinkConfig};
 use shredder_des::Dur;
 use shredder_rabin::ChunkParams;
 use shredder_store::ChunkStore;

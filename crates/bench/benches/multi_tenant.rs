@@ -22,8 +22,7 @@
 
 use shredder_bench::{check, dump_bench_json, gbps, header, result_line, table};
 use shredder_core::{
-    AdmissionPolicy, ChunkingService, EngineReport, Shredder, ShredderConfig, ShredderEngine,
-    SliceSource,
+    AdmissionPolicy, EngineReport, Shredder, ShredderConfig, ShredderEngine, SliceSource,
 };
 use shredder_rabin::{chunk_all, ChunkParams};
 

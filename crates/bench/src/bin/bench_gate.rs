@@ -2,14 +2,17 @@
 //!
 //! Compares the `aggregate_gbps` headline of freshly-dumped bench JSON
 //! files (`SHREDDER_BENCH_JSON`) against the checked-in
-//! `bench/baseline.json` and fails (exit 1) if any bench dropped by more
-//! than the allowed percentage. The simulation is deterministic, so a
-//! drop is a real model/pipeline regression, not machine noise.
+//! `bench/baseline.json` and fails (exit 1) unless every headline
+//! matches its baseline exactly at the printed precision (six
+//! decimals). The simulation is deterministic, so any difference is a
+//! real change of the model or the pipeline, not machine noise: a drop
+//! is a regression, and a rise is a change that must be recorded by
+//! refreshing the baseline, with the reason given in `CHANGES.md`.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_gate --baseline bench/baseline.json [--max-drop-pct 20] \
+//! bench_gate --baseline bench/baseline.json \
 //!     fig12_throughput=bench-out/fig12_throughput.json \
 //!     multi_tenant=bench-out/multi_tenant.json \
 //!     service_load:sustained_rps=bench-out/service_load.json
@@ -19,9 +22,8 @@
 //! defaults to `aggregate_gbps`, and a `name:key` prefix gates a
 //! different numeric headline (e.g. the service-load bench's sustained
 //! req/s at its latency SLO). The baseline maps each bench name to an
-//! object holding the expected value under the same key; improvements
-//! are reported (refresh the baseline to ratchet the gate) but never
-//! fail. The vendored `serde` stub cannot deserialize, so the parser
+//! object holding the expected value under the same key. The vendored
+//! `serde` stub cannot deserialize, so the parser
 //! here is a purpose-built scanner for the hand-rolled dumps — it only
 //! understands `"key": number` fields.
 
@@ -99,6 +101,29 @@ fn parse_spec(spec: &str) -> (&str, &str) {
     }
 }
 
+/// The printed precision of the dumps and the baseline.
+fn printed(value: f64) -> String {
+    format!("{value:.6}")
+}
+
+/// `None` when `measured` matches `expected` at the printed precision,
+/// otherwise why the gate fails.
+fn mismatch(measured: f64, expected: f64) -> Option<String> {
+    let (m, e) = (printed(measured), printed(expected));
+    if m == e {
+        return None;
+    }
+    let delta_pct = (measured - expected) / expected * 100.0;
+    Some(if measured < expected {
+        format!("{m} vs baseline {e} ({delta_pct:+.4}%): the headline regressed")
+    } else {
+        format!(
+            "{m} vs baseline {e} ({delta_pct:+.4}%): the headline rose; refresh \
+             bench/baseline.json and give the reason in CHANGES.md"
+        )
+    })
+}
+
 fn fail(msg: &str) -> ExitCode {
     eprintln!("bench_gate: {msg}");
     ExitCode::FAILURE
@@ -107,7 +132,6 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut baseline_path: Option<String> = None;
-    let mut max_drop_pct = 20.0f64;
     // (bench name, gated key, current-dump path)
     let mut pairs: Vec<(String, String, String)> = Vec::new();
 
@@ -117,10 +141,6 @@ fn main() -> ExitCode {
             "--baseline" => match it.next() {
                 Some(p) => baseline_path = Some(p),
                 None => return fail("--baseline needs a path"),
-            },
-            "--max-drop-pct" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_drop_pct = v,
-                None => return fail("--max-drop-pct needs a number"),
             },
             other => match other.split_once('=') {
                 Some((spec, path)) => {
@@ -162,25 +182,18 @@ fn main() -> ExitCode {
             failed = true;
             continue;
         };
-        let delta_pct = (measured - expected) / expected * 100.0;
-        if delta_pct < -max_drop_pct {
-            eprintln!(
-                "  [FAIL] {name}: {key} {measured:.3} vs baseline {expected:.3} ({delta_pct:+.1}%, limit -{max_drop_pct:.0}%)"
-            );
-            failed = true;
-        } else {
-            println!(
-                "  [ ok ] {name}: {key} {measured:.3} vs baseline {expected:.3} ({delta_pct:+.1}%)"
-            );
-            if delta_pct > max_drop_pct {
-                println!("         improvement — consider refreshing bench/baseline.json");
+        match mismatch(measured, expected) {
+            Some(why) => {
+                eprintln!("  [FAIL] {name}: {key} {why}");
+                failed = true;
             }
+            None => println!("  [ ok ] {name}: {key} {} matches", printed(measured)),
         }
     }
     if failed {
-        return fail("a gated bench headline regressed past the limit");
+        return fail("a gated bench headline differs from its baseline");
     }
-    println!("bench_gate: all benches within -{max_drop_pct:.0}% of baseline");
+    println!("bench_gate: every headline matches its baseline exactly");
     ExitCode::SUCCESS
 }
 
@@ -259,6 +272,26 @@ mod tests {
             parse_spec("service_load:sustained_rps"),
             ("service_load", "sustained_rps")
         );
+    }
+
+    #[test]
+    fn exact_match_at_printed_precision_passes() {
+        assert_eq!(mismatch(1.850409, 1.850409), None);
+        // Below the sixth decimal the dumps cannot differ.
+        assert_eq!(mismatch(1.8504091, 1.850409), None);
+    }
+
+    #[test]
+    fn any_drop_fails() {
+        let why = mismatch(1.850408, 1.850409).expect("a drop must fail");
+        assert!(why.contains("regressed"), "{why}");
+    }
+
+    #[test]
+    fn any_rise_fails_and_asks_for_a_refresh() {
+        let why = mismatch(1.850410, 1.850409).expect("a rise must fail");
+        assert!(why.contains("refresh bench/baseline.json"), "{why}");
+        assert!(why.contains("CHANGES.md"), "{why}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! `Send`; clones of a pool share the same free list and counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Maximum buffers kept on the free list; returns beyond this are
 /// dropped (freeing the memory) rather than hoarded.
@@ -63,14 +63,6 @@ impl BufferPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         BufferPool::default()
-    }
-
-    /// The process-wide pool used by entry points that have no owning
-    /// engine to hang a pool on (the default `ChunkingService`
-    /// materialization paths).
-    pub fn global() -> &'static BufferPool {
-        static GLOBAL: OnceLock<BufferPool> = OnceLock::new();
-        GLOBAL.get_or_init(BufferPool::new)
     }
 
     /// Leases a zero-filled buffer of exactly `len` bytes, recycling a

@@ -1,8 +1,10 @@
-//! Configuration for the Shredder pipeline and the host-only baseline.
+//! Configuration for the Shredder pipeline: a pool of GPUs or of host
+//! cores (the pthreads baseline) behind one reader and Store thread.
 
 use serde::{Deserialize, Serialize};
+use shredder_des::Dur;
 use shredder_gpu::kernel::KernelVariant;
-use shredder_gpu::{calibration, DeviceConfig};
+use shredder_gpu::{calibration, DeviceConfig, PinnedRing};
 use shredder_rabin::ChunkParams;
 
 use shredder_telemetry::TelemetryConfig;
@@ -96,6 +98,13 @@ pub struct ShredderConfig {
     /// [`shredder_telemetry::TelemetryReport`] to the
     /// [`EngineReport`](crate::EngineReport).
     pub telemetry: TelemetryConfig,
+    /// Chunk on host cores instead of GPUs. `None` (every preset) makes
+    /// the pool `gpus` GPUs. `Some` makes each pool device the §5.1
+    /// pthreads baseline: its threads scan a resident copy of the
+    /// stream, so there is no DMA, staging ring or per-buffer
+    /// allocation. [`ShredderConfig::from`] builds it from a
+    /// [`HostChunkerConfig`].
+    pub host_cores: Option<HostCores>,
 }
 
 impl ShredderConfig {
@@ -118,6 +127,7 @@ impl ShredderConfig {
             retention: None,
             faults: FaultPlan::default(),
             telemetry: TelemetryConfig::default(),
+            host_cores: None,
         }
     }
 
@@ -304,6 +314,23 @@ impl ShredderConfig {
         self.ring_slots.unwrap_or(self.pipeline_depth)
     }
 
+    /// Whether buffers stage through a pinned ring: a GPU pool with
+    /// `pinned_ring` set. Host cores scan the bytes where the reader
+    /// lands them.
+    pub(crate) fn stages_through_ring(&self) -> bool {
+        self.pinned_ring && self.host_cores.is_none()
+    }
+
+    /// One-time pinned-ring setup cost: each device's ring is allocated
+    /// once at system init (§4.1.2).
+    pub(crate) fn ring_setup(&self) -> Dur {
+        if self.stages_through_ring() {
+            PinnedRing::new(self.ring_slots(), self.buffer_size).setup_time() * self.gpus as u64
+        } else {
+            Dur::ZERO
+        }
+    }
+
     /// Validates the whole configuration, returning a typed
     /// [`ChunkError::InvalidConfig`](crate::ChunkError) instead of
     /// panicking (or misbehaving deep inside `shredder-store`) later.
@@ -366,6 +393,17 @@ impl ShredderConfig {
                 "retention must keep at least one generation".into(),
             ));
         }
+        if let Some(host) = &self.host_cores {
+            if host.threads == 0 {
+                return Err(InvalidConfig("host thread count must be non-zero".into()));
+            }
+            if !(host.clock_hz.is_finite() && host.clock_hz > 0.0) {
+                return Err(InvalidConfig(format!(
+                    "host clock must be positive and finite, got {}",
+                    host.clock_hz
+                )));
+            }
+        }
         self.faults
             .check(self.gpus)
             .map_err(|e| InvalidConfig(format!("fault plan: {e}")))?;
@@ -412,8 +450,31 @@ impl std::fmt::Display for Allocator {
     }
 }
 
+/// The host-core device of a [`ShredderConfig::host_cores`] pool: the
+/// §5.1 pthreads baseline on the Xeon X5650 testbed (§5.3).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct HostCores {
+    /// Worker threads. The functional scan runs on this many OS threads.
+    pub threads: usize,
+    /// Allocator model.
+    pub allocator: Allocator,
+    /// Host clock in Hz.
+    pub clock_hz: f64,
+}
+
+impl HostCores {
+    /// Sustained chunking bandwidth in bytes/s, the device's kernel
+    /// rate: `threads × clock / cycles_per_byte × (1 − allocator loss)`.
+    pub fn bandwidth(&self) -> f64 {
+        self.clock_hz / calibration::CPU_RABIN_CYCLES_PER_BYTE
+            * self.threads as f64
+            * (1.0 - self.allocator.contention_loss())
+    }
+}
+
 /// Configuration of the host-only pthreads chunker (§5.1, §5.3: 12
-/// threads on the Xeon X5650 testbed).
+/// threads on the Xeon X5650 testbed). It is a way to build a
+/// host-core [`ShredderConfig`]: `ShredderConfig::from(host_config)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostChunkerConfig {
     /// Chunking parameters.
@@ -449,6 +510,22 @@ impl HostChunkerConfig {
 impl Default for HostChunkerConfig {
     fn default() -> Self {
         HostChunkerConfig::optimized()
+    }
+}
+
+impl From<HostChunkerConfig> for ShredderConfig {
+    /// A pool of one host-core device behind the same reader, Store
+    /// thread and sink stages as the GPU presets.
+    fn from(host: HostChunkerConfig) -> Self {
+        ShredderConfig {
+            params: host.params,
+            host_cores: Some(HostCores {
+                threads: host.threads,
+                allocator: host.allocator,
+                clock_hz: host.clock_hz,
+            }),
+            ..ShredderConfig::gpu_streams_memory()
+        }
     }
 }
 

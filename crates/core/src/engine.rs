@@ -15,7 +15,11 @@
 //!   simulation — one SAN reader channel, one Store thread, and a
 //!   [`DevicePool`] of `gpus` devices, each with its own twin-buffer
 //!   lanes, pinned staging ring and H2D/kernel/D2H engine set — so
-//!   tenants genuinely contend for and overlap on the same hardware;
+//!   tenants genuinely contend for and overlap on the same hardware.
+//!   With [`ShredderConfig::host_cores`] set, the pool's devices are the
+//!   pthreads baseline's host cores instead: free DMA, no ring, a
+//!   kernel at the threads' rate, and a functional scan on real OS
+//!   threads over one resident copy of the stream;
 //! * a central admission scheduler (replacing the old per-call
 //!   semaphore) hands the global `pipeline_depth` slots to sessions
 //!   fairly: round-robin, weighted, or strict session order;
@@ -77,16 +81,17 @@ use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 use shredder_des::{BandwidthChannel, Dur, FifoServer, SimTime, Simulation, TimeSeries};
+use shredder_gpu::calibration;
 use shredder_gpu::hostmem::{HostAllocModel, HostMemKind};
 use shredder_gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder_gpu::pool::{BufferJob, DevicePool, PooledDevice};
-use shredder_gpu::{calibration, PinnedRing};
+use shredder_rabin::boundary::parallel_raw_cuts;
 use shredder_rabin::chunker::cuts_to_chunks;
 use shredder_rabin::{Chunk, RawCut};
 use shredder_telemetry::{ArgValue, Lane, TelemetryReport, TraceRecorder};
 
 use crate::bufpool::{BufferPool, PooledBuf};
-use crate::config::ShredderConfig;
+use crate::config::{HostCores, ShredderConfig};
 use crate::error::ChunkError;
 use crate::fault::{FaultKind, FaultReport};
 use crate::report::{
@@ -610,14 +615,6 @@ impl<'a> ShredderEngine<'a> {
             }));
         }
 
-        // The ring is allocated once per device at system init (§4.1.2).
-        let ring_setup = if self.config.pinned_ring {
-            PinnedRing::new(self.config.ring_slots(), self.config.buffer_size).setup_time()
-                * self.config.gpus as u64
-        } else {
-            Dur::ZERO
-        };
-
         let makespan = sim.end.saturating_since(SimTime::ZERO);
         let devices = sim
             .devices
@@ -653,7 +650,7 @@ impl<'a> ShredderEngine<'a> {
             stage_busy: sim.stage_busy,
             devices,
             sink_stages: sim.stages,
-            ring_setup,
+            ring_setup: self.config.ring_setup(),
             service,
             faults: sim.faults,
             telemetry: sim.telemetry,
@@ -673,6 +670,9 @@ impl<'a> ShredderEngine<'a> {
         &self,
         mut session: ChunkSession<'a>,
     ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
+        if let Some(host) = self.config.host_cores {
+            return self.plan_host_session(session, host);
+        }
         // The boundary kernel knows its own carry requirement: `window − 1`
         // bytes for Rabin, `GEAR_WINDOW − 1` for Gear.
         let overlap = self.kernel.overlap();
@@ -763,6 +763,70 @@ impl<'a> ShredderEngine<'a> {
             },
             binding,
         ))
+    }
+
+    /// Functional pass over one session on host cores (§5.1): read the
+    /// stream into one resident copy, scan it on `threads` OS threads
+    /// (SPMD regions with the kernel's overlap, merged in region order,
+    /// so the cuts equal a sequential scan), and split the cuts and the
+    /// kernel time over pipeline buffers. A sink shares the copy.
+    fn plan_host_session(
+        &self,
+        mut session: ChunkSession<'a>,
+        host: HostCores,
+    ) -> Result<(SessionPlan, Option<SinkBinding<'a>>), ChunkError> {
+        let mut data = self
+            .pool
+            .with_capacity(session.source.size_hint().unwrap_or(0) as usize);
+        let mut scratch = self.pool.get(self.config.buffer_size.min(1 << 20));
+        loop {
+            let n = session.source.read(&mut scratch);
+            if n == 0 {
+                break;
+            }
+            data.extend_from_slice(&scratch[..n]);
+        }
+        let cuts = parallel_raw_cuts(&*self.kernel.boundary(), &data, host.threads);
+
+        // A buffer owns the cuts in (its start, its end], and its share
+        // of the scan at the threads' rate.
+        let (len, size) = (data.len() as u64, self.config.buffer_size as u64);
+        let mut owned = cuts.iter().peekable();
+        let buffers = (0..len.div_ceil(size))
+            .map(|i| {
+                let end = ((i + 1) * size).min(len);
+                let bytes = end - i * size;
+                let mut cut_count = 0;
+                while owned.next_if(|c| c.offset <= end).is_some() {
+                    cut_count += 1;
+                }
+                PlannedBuffer {
+                    bytes,
+                    cut_count,
+                    kernel_dur: Dur::from_bytes_at(bytes, host.bandwidth()),
+                }
+            })
+            .collect();
+        let binding = session.sink.map(|sink| SinkBinding { sink, data });
+        Ok((
+            SessionPlan {
+                name: session.name,
+                weight: session.weight,
+                class: session.class,
+                pin: session.pin,
+                bytes: len,
+                cuts,
+                buffers,
+            },
+            binding,
+        ))
+    }
+
+    /// Shares `pool` for the scan and retention buffers, so a caller
+    /// opening engine after engine keeps one steady-state pool.
+    pub(crate) fn with_buffer_pool(mut self, pool: BufferPool) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// Timing-only run over pre-planned sessions — the experiment
@@ -1734,8 +1798,11 @@ fn simulate_service<'a>(
     }
 
     // Without the ring, the host allocates a fresh pageable buffer every
-    // iteration (§4.1.2's counterfactual).
-    let (host_kind, prep_time) = if config.pinned_ring {
+    // iteration (§4.1.2's counterfactual). Host cores scan the bytes
+    // where the reader lands them.
+    let (host_kind, prep_time) = if config.host_cores.is_some() {
+        (HostMemKind::Resident, Dur::ZERO)
+    } else if config.pinned_ring {
         (HostMemKind::Pinned, Dur::ZERO)
     } else {
         let alloc = HostAllocModel::new().alloc_time(HostMemKind::Pageable, config.buffer_size);
@@ -1801,7 +1868,7 @@ fn simulate_service<'a>(
         buffers: plans.iter().map(|p| p.buffers.clone()).collect(),
         host_kind,
         variant: config.kernel,
-        pinned_ring: config.pinned_ring,
+        pinned_ring: config.stages_through_ring(),
         prep_time,
         pipeline_depth: config.pipeline_depth,
         slots: inputs.control.slots.max(1),

@@ -1,29 +1,31 @@
-//! The host-only parallel chunker: the paper's pthreads baseline (§5.1).
+//! The host-only parallel chunker: the paper's pthreads baseline
+//! (§5.1), as a device of the engine's pool.
 //!
-//! Chunk boundaries are computed for real by
-//! [`ParallelChunker`] (SPMD region
-//! split + boundary merge on actual OS threads). The *simulated* time
-//! uses the calibrated per-byte Xeon cost plus the allocator-contention
-//! loss — the with/without-Hoard distinction of Figure 12's two CPU
-//! bars.
+//! A [`HostChunkerConfig`] builds a [`ShredderConfig`] whose pool is one
+//! host-core device ([`ShredderConfig::host_cores`]). Its functional
+//! pass scans one resident copy of the stream on `threads` real OS
+//! threads (the SPMD region split + boundary merge of
+//! [`ParallelChunker`](shredder_rabin::ParallelChunker)). Its DMA is
+//! free, and its kernel time is the calibrated per-byte Xeon cost less
+//! the allocator-contention loss ([`HostCores::bandwidth`]) — the
+//! with/without-Hoard distinction of Figure 12's two CPU bars. Host runs
+//! pass through the same reader, Store thread and sink stages as GPU
+//! runs.
+//!
+//! [`HostChunkerConfig`]: crate::HostChunkerConfig
+//! [`ShredderConfig`]: crate::ShredderConfig
+//! [`ShredderConfig::host_cores`]: crate::ShredderConfig
+//! [`HostCores::bandwidth`]: crate::HostCores::bandwidth
 
-use shredder_des::Dur;
-use shredder_gpu::calibration;
-use shredder_rabin::{Chunk, ParallelChunker};
+use crate::pipeline::Shredder;
 
-use crate::bufpool::BufferPool;
-use crate::config::HostChunkerConfig;
-use crate::error::ChunkError;
-use crate::report::{HostReport, Report};
-use crate::service::ChunkingService;
-use crate::source::StreamSource;
-
-/// The host-only (CPU) chunking engine.
+/// The host-only (CPU) chunking engine: a [`Shredder`] built from a
+/// [`HostChunkerConfig`](crate::HostChunkerConfig).
 ///
 /// # Examples
 ///
 /// ```
-/// use shredder_core::{ChunkingService, HostChunker, HostChunkerConfig};
+/// use shredder_core::{HostChunker, HostChunkerConfig};
 ///
 /// let data = vec![0x42u8; 1 << 18];
 /// let with_hoard = HostChunker::new(HostChunkerConfig::optimized());
@@ -35,111 +37,14 @@ use crate::source::StreamSource;
 /// // Hoard removes allocator serialization (§5.1).
 /// assert!(a.report.throughput_gbps() > b.report.throughput_gbps());
 /// ```
-#[derive(Debug, Clone)]
-pub struct HostChunker {
-    config: HostChunkerConfig,
-    chunker: ParallelChunker,
-    pool: BufferPool,
-}
-
-impl HostChunker {
-    /// Creates an engine from a configuration.
-    pub fn new(config: HostChunkerConfig) -> Self {
-        let chunker = ParallelChunker::new(&config.params, config.threads);
-        HostChunker {
-            config,
-            chunker,
-            pool: BufferPool::new(),
-        }
-    }
-
-    /// The paper's optimized baseline (12 threads, Hoard).
-    pub fn with_defaults() -> Self {
-        HostChunker::new(HostChunkerConfig::optimized())
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HostChunkerConfig {
-        &self.config
-    }
-
-    /// The buffer pool backing this chunker's materialization path
-    /// (allocation counters included) — after the first stream of a
-    /// given size, repeat streams lease every buffer from here.
-    pub fn buffer_pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// Effective sustained chunking bandwidth of this configuration in
-    /// bytes/s: `threads × clock / cycles_per_byte × (1 − alloc_loss)`.
-    pub fn effective_bandwidth(&self) -> f64 {
-        let per_thread = self.config.clock_hz / calibration::CPU_RABIN_CYCLES_PER_BYTE;
-        per_thread * self.config.threads as f64 * (1.0 - self.config.allocator.contention_loss())
-    }
-
-    /// Simulated time to chunk `bytes` bytes.
-    pub fn chunk_time(&self, bytes: u64) -> Dur {
-        if bytes == 0 {
-            return Dur::ZERO;
-        }
-        // Thread spawn + final boundary-merge synchronization (§5.1 step
-        // 3) cost a small constant per run.
-        let sync = Dur::from_micros(50) * self.config.threads as u64;
-        Dur::from_bytes_at(bytes, self.effective_bandwidth()) + sync
-    }
-}
-
-impl ChunkingService for HostChunker {
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        // The pthreads baseline materializes the stream before its SPMD
-        // region split (§5.1 operates on a resident buffer). Both the
-        // stream and the read scratch are pooled leases, so repeat
-        // streams allocate nothing (§5.1's allocator-discipline lesson).
-        let mut data = self
-            .pool
-            .with_capacity(source.size_hint().unwrap_or(0) as usize);
-        let mut buf = self.pool.get(1 << 20);
-        loop {
-            let n = source.read(&mut buf);
-            if n == 0 {
-                break;
-            }
-            data.extend_from_slice(&buf[..n]);
-        }
-        self.chunk_stream_with(&data, upcall)
-    }
-
-    fn chunk_stream_with(
-        &self,
-        data: &[u8],
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        for chunk in self.chunker.chunk(data) {
-            upcall(chunk);
-        }
-        Ok(Report::Host(HostReport {
-            bytes: data.len() as u64,
-            threads: self.config.threads,
-            allocator: self.config.allocator.to_string(),
-            makespan: self.chunk_time(data.len() as u64),
-        }))
-    }
-
-    fn service_name(&self) -> String {
-        format!(
-            "pthreads-cpu({} threads, {})",
-            self.config.threads, self.config.allocator
-        )
-    }
-}
+pub type HostChunker = Shredder;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{HostChunkerConfig, ShredderConfig};
+    use crate::error::ChunkError;
+    use shredder_des::Dur;
     use shredder_rabin::{chunk_all, ChunkParams};
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -154,24 +59,31 @@ mod tests {
             .collect()
     }
 
+    fn optimized() -> HostChunker {
+        HostChunker::new(HostChunkerConfig::optimized())
+    }
+
+    fn bandwidth(chunker: &HostChunker) -> f64 {
+        chunker.config().host_cores.expect("host pool").bandwidth()
+    }
+
     #[test]
     fn boundaries_match_sequential() {
         let data = pseudo_random(1 << 20, 5);
-        let out = HostChunker::with_defaults().chunk_stream(&data).unwrap();
+        let out = optimized().chunk_stream(&data).unwrap();
         assert_eq!(out.chunks, chunk_all(&data, &ChunkParams::paper()));
     }
 
     #[test]
     fn materialization_is_allocation_free_in_steady_state() {
-        use crate::source::SliceSource;
         let data = pseudo_random(768 << 10, 9);
-        let chunker = HostChunker::with_defaults();
+        let chunker = optimized();
         // Warm-up call leases (and so allocates) the stream and scratch
         // buffers; every repeat call reuses them.
-        chunker.chunk_source(&mut SliceSource::new(&data)).unwrap();
+        chunker.chunk_stream(&data).unwrap();
         let warm = chunker.buffer_pool().allocations();
         for _ in 0..5 {
-            chunker.chunk_source(&mut SliceSource::new(&data)).unwrap();
+            chunker.chunk_stream(&data).unwrap();
         }
         assert_eq!(
             chunker.buffer_pool().allocations(),
@@ -184,15 +96,15 @@ mod tests {
     #[test]
     fn optimized_bandwidth_near_figure12() {
         // ~0.4 GB/s for 12 threads with Hoard.
-        let bw = HostChunker::with_defaults().effective_bandwidth();
+        let bw = bandwidth(&optimized());
         assert!(bw > 0.35e9 && bw < 0.45e9, "{bw}");
     }
 
     #[test]
     fn hoard_beats_malloc() {
-        let hoard = HostChunker::new(HostChunkerConfig::optimized());
+        let hoard = optimized();
         let malloc = HostChunker::new(HostChunkerConfig::unoptimized());
-        assert!(hoard.effective_bandwidth() > malloc.effective_bandwidth());
+        assert!(bandwidth(&hoard) > bandwidth(&malloc));
         // Both still compute identical chunks.
         let data = pseudo_random(1 << 19, 6);
         assert_eq!(
@@ -203,33 +115,80 @@ mod tests {
 
     #[test]
     fn chunk_time_scales_linearly() {
-        let c = HostChunker::with_defaults();
-        let t1 = c.chunk_time(1 << 28);
-        let t2 = c.chunk_time(1 << 29);
-        let ratio = t2.as_secs_f64() / t1.as_secs_f64();
-        assert!((ratio - 2.0).abs() < 0.05, "{ratio}");
-        assert_eq!(c.chunk_time(0), Dur::ZERO);
+        // Each buffer's kernel time is its bytes at the threads' rate.
+        let c = HostChunker::new(ShredderConfig {
+            buffer_size: 64 << 10,
+            ..HostChunkerConfig::optimized().into()
+        });
+        let kernel = |len| {
+            c.chunk_stream(&pseudo_random(len, 8))
+                .unwrap()
+                .report
+                .kernel_time
+        };
+        let ratio = kernel(1 << 20).as_secs_f64() / kernel(1 << 19).as_secs_f64();
+        assert!((ratio - 2.0).abs() < 0.001, "{ratio}");
+        assert_eq!(kernel(0), Dur::ZERO);
     }
 
     #[test]
     fn report_contents() {
         let data = pseudo_random(1 << 18, 7);
-        let out = HostChunker::with_defaults().chunk_stream(&data).unwrap();
-        match &out.report {
-            Report::Host(h) => {
-                assert_eq!(h.threads, 12);
-                assert_eq!(h.allocator, "hoard");
-                assert_eq!(h.bytes, data.len() as u64);
-            }
-            Report::Pipeline(_) => panic!("expected host report"),
-        }
-        assert!(out.report.throughput_gbps() > 0.0);
+        let out = optimized().chunk_stream(&data).unwrap();
+        let r = &out.report;
+        assert_eq!(r.bytes, data.len() as u64);
+        // The host-core device: a kernel at the threads' rate, no ring.
+        assert_eq!(
+            r.kernel_time,
+            Dur::from_bytes_at(data.len() as u64, bandwidth(&optimized()))
+        );
+        assert_eq!(r.ring_setup, Dur::ZERO);
+        assert!(
+            r.makespan > r.kernel_time,
+            "reader and Store thread add time"
+        );
+        assert!(r.throughput_gbps() > 0.0);
     }
 
     #[test]
     fn service_name_mentions_configuration() {
-        let name = HostChunker::with_defaults().service_name();
+        let name = optimized().service_name();
         assert!(name.contains("12"));
         assert!(name.contains("hoard"));
+    }
+
+    /// Builds a host chunker from `config` (which must not panic) and
+    /// expects its run to fail with `InvalidConfig` naming `field`.
+    fn assert_invalid(config: HostChunkerConfig, field: &str) {
+        let chunker = HostChunker::new(config);
+        match chunker.chunk_stream(&pseudo_random(4096, 3)) {
+            Err(ChunkError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("expected InvalidConfig naming {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_window_is_an_invalid_config() {
+        let mut config = HostChunkerConfig::optimized();
+        config.params.window = 0;
+        assert_invalid(config, "chunking params");
+    }
+
+    #[test]
+    fn zero_threads_is_an_invalid_config() {
+        let config = HostChunkerConfig {
+            threads: 0,
+            ..HostChunkerConfig::optimized()
+        };
+        assert_invalid(config, "thread count");
+    }
+
+    #[test]
+    fn zero_clock_is_an_invalid_config() {
+        let config = HostChunkerConfig {
+            clock_hz: 0.0,
+            ..HostChunkerConfig::optimized()
+        };
+        assert_invalid(config, "clock");
     }
 }

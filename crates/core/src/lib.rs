@@ -54,12 +54,15 @@
 //!   meeting a p99 SLO. The legacy `open_*_session` + `run()` path *is*
 //!   the batch workload with unbounded admission — chunks and digests
 //!   are bit-identical.
-//! * [`pipeline`] — the legacy single-stream [`Shredder`] service, now a
-//!   thin one-session convenience over the engine.
-//! * [`host_chunker`] — the host-only pthreads baseline of §5.1.
-//! * [`service`] — the fallible [`ChunkingService`] trait the case
-//!   studies (Inc-HDFS, cloud backup) program against; its upcall-style
-//!   boundary delivery of §3.1 is the degenerate (stage-less) sink.
+//! * [`pipeline`] / [`service`] — the single-stream [`Shredder`], a
+//!   thin one-session convenience over the engine: `chunk_stream`
+//!   delivers boundaries through the §3.1 upcall (the stage-less sink),
+//!   `chunk_stream_sink` drives a [`ChunkSink`]. The case studies
+//!   (Inc-HDFS, cloud backup) call it, or the request frontend.
+//! * [`host_chunker`] — the host-only pthreads baseline of §5.1: a
+//!   [`HostChunkerConfig`] builds a [`ShredderConfig`] whose pool is a
+//!   host-core device ([`ShredderConfig::host_cores`]), so CPU runs pass
+//!   through the same reader, Store thread and sinks as GPU runs.
 //!
 //! Everywhere, chunk boundaries are **real** (computed by the shared
 //! Rabin tables over the actual bytes, identical across every engine and
@@ -98,9 +101,7 @@
 //! use std::cell::RefCell;
 //! use std::collections::HashSet;
 //! use std::rc::Rc;
-//! use shredder_core::{
-//!     ChunkingService, DedupSink, DedupSinkConfig, Shredder, ShredderConfig, SinkPipelineHints,
-//! };
+//! use shredder_core::{DedupSink, DedupSinkConfig, Shredder, ShredderConfig};
 //! use shredder_des::Dur;
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
@@ -113,7 +114,6 @@
 //!         ship_bw: 0.9e9,
 //!         pointer_bytes: 40,
 //!         ship_chunk_overhead: Dur::from_micros(2),
-//!         hints: SinkPipelineHints::default(),
 //!     },
 //!     index,
 //! );
@@ -125,18 +125,18 @@
 //! // simulation — and the stages overlapped the chunking pipeline.
 //! assert!(!sink.verdicts().is_empty());
 //! assert_eq!(outcome.stages.len(), 3);
-//! assert!(outcome.makespan >= outcome.report.makespan());
+//! assert!(outcome.makespan >= outcome.report.makespan);
 //! ```
 //!
 //! The single-stream convenience (identical boundaries, one session):
 //!
 //! ```
-//! use shredder_core::{ChunkingService, HostChunker, Shredder, ShredderConfig};
+//! use shredder_core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9e3779b9) >> 11) as u8).collect();
 //!
 //! let gpu = Shredder::new(ShredderConfig::gpu_streams_memory());
-//! let cpu = HostChunker::with_defaults();
+//! let cpu = HostChunker::new(HostChunkerConfig::optimized());
 //!
 //! let g = gpu.chunk_stream(&data).unwrap();
 //! let c = cpu.chunk_stream(&data).unwrap();
@@ -164,7 +164,7 @@ pub mod source;
 pub mod workload;
 
 pub use bufpool::{BufferPool, PooledBuf};
-pub use config::{Allocator, HostChunkerConfig, ShredderConfig};
+pub use config::{Allocator, HostChunkerConfig, HostCores, ShredderConfig};
 pub use engine::{AdmissionPolicy, EngineOutcome, PlacementPolicy, ShredderEngine};
 pub use error::ChunkError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport};
@@ -175,15 +175,15 @@ pub use frontend::{
 pub use host_chunker::HostChunker;
 pub use pipeline::Shredder;
 pub use report::{
-    BufferTimeline, ClassLatency, DeviceReport, EngineReport, HostReport, PipelineReport, Report,
-    RequestReport, ServiceReport, SessionReport, StageBusy, StageReport,
+    BufferTimeline, ClassLatency, DeviceReport, EngineReport, PipelineReport, RequestReport,
+    ServiceReport, SessionReport, StageBusy, StageReport,
 };
-pub use service::{ChunkOutcome, ChunkingService};
+pub use service::ChunkOutcome;
 pub use session::{ChunkSession, SessionId, SessionOutcome};
 pub use sink::{
     ChunkSink, ChunkVerdict, DedupSink, DedupSinkConfig, DedupStage, FingerprintIndex,
-    FingerprintStage, ShipStage, SinkOutcome, SinkPipelineHints, StageKind, StageSpec, StoreSink,
-    StoreSinkConfig, StoreStage, UpcallSink,
+    FingerprintStage, ShipStage, SinkOutcome, StageKind, StageSpec, StoreSink, StoreSinkConfig,
+    StoreStage, UpcallSink,
 };
 pub use source::{MemorySource, SliceSource, StreamSource};
 pub use workload::{AdmissionControl, TenantClass, Workload};

@@ -4,9 +4,10 @@
 //! Historically this module owned the whole discrete-event pipeline;
 //! that machinery now lives in [`crate::engine`], where any number of
 //! tenant streams share it. [`Shredder`] keeps the original surface —
-//! construct from a [`ShredderConfig`], call
-//! [`chunk_stream`](crate::ChunkingService::chunk_stream) — by opening
-//! exactly one [`ChunkSession`](crate::ChunkSession) on a private
+//! construct from a [`ShredderConfig`] (or a
+//! [`HostChunkerConfig`](crate::HostChunkerConfig)), call
+//! [`chunk_stream`](Shredder::chunk_stream) — by opening exactly one
+//! [`ChunkSession`](crate::ChunkSession) on a private
 //! [`ShredderEngine`] per call. The configuration semantics are
 //! unchanged:
 //!
@@ -20,23 +21,20 @@
 //!   (fast DMA, §4.1.2) vs pageable buffers allocated every iteration.
 
 use shredder_des::Dur;
-use shredder_gpu::PinnedRing;
-use shredder_rabin::Chunk;
 
+use crate::bufpool::BufferPool;
 use crate::config::ShredderConfig;
 use crate::engine::{PlannedBuffer, SessionPlan, ShredderEngine};
-use crate::error::ChunkError;
-use crate::report::{PipelineReport, Report, StageBusy};
-use crate::service::ChunkingService;
-use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
-use crate::source::StreamSource;
+use crate::report::{PipelineReport, StageBusy};
 
-/// The GPU-accelerated Shredder chunking engine (single-stream view).
+/// The Shredder chunking engine (single-stream view) over a GPU pool
+/// or, built from a [`HostChunkerConfig`](crate::HostChunkerConfig),
+/// the host-core pool of the pthreads baseline.
 ///
 /// # Examples
 ///
 /// ```
-/// use shredder_core::{ChunkingService, Shredder, ShredderConfig};
+/// use shredder_core::{Shredder, ShredderConfig};
 /// use shredder_rabin::{chunk_all, ChunkParams};
 ///
 /// let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
@@ -48,12 +46,19 @@ use crate::source::StreamSource;
 #[derive(Debug, Clone)]
 pub struct Shredder {
     config: ShredderConfig,
+    pool: BufferPool,
 }
 
 impl Shredder {
-    /// Creates an engine from a configuration.
-    pub fn new(config: ShredderConfig) -> Self {
-        Shredder { config }
+    /// Creates an engine from a configuration. Construction never
+    /// fails: an unusable configuration is reported as
+    /// [`ChunkError::InvalidConfig`](crate::ChunkError) by the first
+    /// run.
+    pub fn new(config: impl Into<ShredderConfig>) -> Self {
+        Shredder {
+            config: config.into(),
+            pool: BufferPool::new(),
+        }
     }
 
     /// The configuration.
@@ -61,10 +66,17 @@ impl Shredder {
         &self.config
     }
 
+    /// The buffer pool every engine this service opens leases its scan
+    /// and stream copies from (allocation counters included): after the
+    /// first stream of a given size, repeat streams allocate nothing.
+    pub fn buffer_pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
     /// Opens a fresh multi-stream engine with this configuration — the
     /// session API this service is a convenience over.
     pub fn engine<'a>(&self) -> ShredderEngine<'a> {
-        ShredderEngine::new(self.config.clone())
+        ShredderEngine::new(self.config.clone()).with_buffer_pool(self.pool.clone())
     }
 
     /// Timing-only pipeline execution over `buffers` synthetic buffers of
@@ -111,12 +123,6 @@ impl Shredder {
                 sim.end.saturating_since(shredder_des::SimTime::ZERO),
             )
         };
-        let ring_setup = if self.config.pinned_ring {
-            PinnedRing::new(self.config.ring_slots(), self.config.buffer_size).setup_time()
-                * self.config.gpus as u64
-        } else {
-            Dur::ZERO
-        };
         PipelineReport {
             bytes: (buffers * bytes) as u64,
             buffers,
@@ -124,93 +130,16 @@ impl Shredder {
             stage_busy,
             kernel_time: kernel_dur * buffers as u64,
             timeline,
-            ring_setup,
+            ring_setup: self.config.ring_setup(),
             raw_cuts: cuts_per_buffer * buffers,
         }
-    }
-}
-
-impl ChunkingService for Shredder {
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        // The upcall interface is the degenerate (stage-less) sink.
-        let mut sink = UpcallSink::new(upcall);
-        Ok(self.chunk_source_sink(source, &mut sink)?.report)
-    }
-
-    /// Runs the sink's stages inside the engine's shared simulation: one
-    /// session, chunking pipeline and downstream stages contending and
-    /// overlapping on the same virtual clock. The caller's `ingest_bw`
-    /// cap, when set, caps the engine's reader — here the reader *is*
-    /// the consumer's intake link (e.g. the §7.3 10 Gbps image source).
-    fn chunk_source_sink_capped(
-        &self,
-        source: &mut dyn StreamSource,
-        sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        let mut config = self.config.clone();
-        if let Some(bw) = ingest_bw {
-            config.reader_bandwidth = config.reader_bandwidth.min(bw);
-        }
-        let outcome = {
-            let mut engine = ShredderEngine::new(config);
-            engine.open_sink_session("chunk-stream", 1, source, sink);
-            engine.run()?
-        };
-        let per = &outcome.report.sessions[0];
-        // The legacy report keeps chunk-only semantics: with downstream
-        // stages attached, chunking ends when the last buffer leaves the
-        // Store thread, not when the sink drains.
-        let chunk_makespan = if outcome.report.sink_stages.is_empty() {
-            outcome.report.makespan
-        } else {
-            per.timeline
-                .last()
-                .map(|t| t.store_end.saturating_since(per.first_admit))
-                .unwrap_or(Dur::ZERO)
-        };
-        let report = Report::Pipeline(PipelineReport {
-            bytes: per.bytes,
-            buffers: per.buffers,
-            makespan: chunk_makespan,
-            stage_busy: outcome.report.stage_busy,
-            kernel_time: per.kernel_time,
-            timeline: per.timeline.clone(),
-            ring_setup: outcome.report.ring_setup,
-            raw_cuts: per.raw_cuts,
-        });
-        Ok(SinkOutcome {
-            report,
-            makespan: outcome.report.makespan,
-            stages: outcome.report.sink_stages,
-        })
-    }
-
-    fn service_name(&self) -> String {
-        format!(
-            "shredder-gpu({} kernel, depth {}, twins {}, {}, {} gpu{})",
-            self.config.kernel,
-            self.config.pipeline_depth,
-            self.config.twin_buffers,
-            if self.config.pinned_ring {
-                "pinned ring"
-            } else {
-                "pageable"
-            },
-            self.config.gpus,
-            if self.config.gpus == 1 { "" } else { "s" }
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ShredderConfig;
+    use crate::error::ChunkError;
     use shredder_rabin::{chunk_all, ChunkParams};
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
@@ -289,7 +218,7 @@ mod tests {
         let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
             .chunk_stream(&data)
             .unwrap();
-        let report = out.report.as_pipeline().unwrap().clone();
+        let report = out.report;
         assert_eq!(report.buffers, report.timeline.len());
         for t in &report.timeline {
             assert!(t.read_start <= t.read_end);
@@ -315,7 +244,7 @@ mod tests {
             .chunk_stream(&data)
             .unwrap()
             .report
-            .makespan()
+            .makespan
         };
         let seq = t(1);
         let pipe4 = t(4);
@@ -329,8 +258,8 @@ mod tests {
             .chunk_stream(&[])
             .unwrap();
         assert!(out.chunks.is_empty());
-        assert_eq!(out.report.bytes(), 0);
-        assert_eq!(out.report.makespan(), Dur::ZERO);
+        assert_eq!(out.report.bytes, 0);
+        assert_eq!(out.report.makespan, Dur::ZERO);
     }
 
     #[test]
@@ -340,7 +269,7 @@ mod tests {
             .chunk_stream(&data)
             .unwrap();
         assert_eq!(out.chunks, chunk_all(&data, &ChunkParams::paper()));
-        assert_eq!(out.report.as_pipeline().unwrap().buffers, 1);
+        assert_eq!(out.report.buffers, 1);
     }
 
     #[test]
@@ -352,8 +281,8 @@ mod tests {
         let without = Shredder::new(small(ShredderConfig::gpu_basic()))
             .chunk_stream(&data)
             .unwrap();
-        assert!(with_ring.report.as_pipeline().unwrap().ring_setup > Dur::ZERO);
-        assert_eq!(without.report.as_pipeline().unwrap().ring_setup, Dur::ZERO);
+        assert!(with_ring.report.ring_setup > Dur::ZERO);
+        assert_eq!(without.report.ring_setup, Dur::ZERO);
     }
 
     #[test]
@@ -362,7 +291,7 @@ mod tests {
         let out = Shredder::new(small(ShredderConfig::gpu_streams_memory()))
             .chunk_stream(&data)
             .unwrap();
-        let busy = out.report.as_pipeline().unwrap().stage_busy;
+        let busy = out.report.stage_busy;
         assert!(busy.read > Dur::ZERO);
         assert!(busy.transfer > Dur::ZERO);
         assert!(busy.kernel > Dur::ZERO);

@@ -255,7 +255,7 @@ pub struct BufferTimeline {
     pub store_end: SimTime,
 }
 
-/// Report of a GPU pipeline run.
+/// Report of one stream's run through the pipeline (GPU or host cores).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineReport {
     /// Total input bytes.
@@ -275,6 +275,18 @@ pub struct PipelineReport {
     pub ring_setup: Dur,
     /// Raw cuts found before min/max adjustment.
     pub raw_cuts: usize,
+}
+
+impl PipelineReport {
+    /// Simulated chunking throughput in GB/s (10⁹ bytes per second, the
+    /// unit of the paper's Figure 12 y-axis).
+    pub fn throughput_gbps(&self) -> f64 {
+        let s = self.makespan.as_secs_f64();
+        if s == 0.0 {
+            return 0.0;
+        }
+        self.bytes as f64 / s / 1e9
+    }
 }
 
 /// Per-stream report of one session's trip through a shared
@@ -406,90 +418,32 @@ impl EngineReport {
     }
 }
 
-/// Report of a host-only chunking run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HostReport {
-    /// Total input bytes.
-    pub bytes: u64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Allocator description.
-    pub allocator: String,
-    /// Simulated chunking time.
-    pub makespan: Dur,
-}
-
-/// A chunking-engine report: pipeline (GPU) or host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Report {
-    /// GPU pipeline run.
-    Pipeline(PipelineReport),
-    /// Host-only run.
-    Host(HostReport),
-}
-
-impl Report {
-    /// Total input bytes.
-    pub fn bytes(&self) -> u64 {
-        match self {
-            Report::Pipeline(r) => r.bytes,
-            Report::Host(r) => r.bytes,
-        }
-    }
-
-    /// End-to-end simulated time.
-    pub fn makespan(&self) -> Dur {
-        match self {
-            Report::Pipeline(r) => r.makespan,
-            Report::Host(r) => r.makespan,
-        }
-    }
-
-    /// Simulated chunking throughput in GB/s (10⁹ bytes per second, the
-    /// unit of the paper's Figure 12 y-axis).
-    pub fn throughput_gbps(&self) -> f64 {
-        let s = self.makespan().as_secs_f64();
-        if s == 0.0 {
-            return 0.0;
-        }
-        self.bytes() as f64 / s / 1e9
-    }
-
-    /// The pipeline report, if this was a GPU run.
-    pub fn as_pipeline(&self) -> Option<&PipelineReport> {
-        match self {
-            Report::Pipeline(r) => Some(r),
-            Report::Host(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn report(bytes: u64, makespan: Dur) -> PipelineReport {
+        PipelineReport {
+            bytes,
+            buffers: 1,
+            makespan,
+            stage_busy: StageBusy::default(),
+            timeline: Vec::new(),
+            kernel_time: makespan,
+            ring_setup: Dur::ZERO,
+            raw_cuts: 0,
+        }
+    }
+
     #[test]
     fn throughput_computation() {
-        let r = Report::Host(HostReport {
-            bytes: 2_000_000_000,
-            threads: 12,
-            allocator: "hoard".into(),
-            makespan: Dur::from_secs(2),
-        });
+        let r = report(2_000_000_000, Dur::from_secs(2));
         assert!((r.throughput_gbps() - 1.0).abs() < 1e-9);
-        assert_eq!(r.bytes(), 2_000_000_000);
-        assert!(r.as_pipeline().is_none());
     }
 
     #[test]
     fn zero_makespan_throughput_is_zero() {
-        let r = Report::Host(HostReport {
-            bytes: 0,
-            threads: 1,
-            allocator: "malloc".into(),
-            makespan: Dur::ZERO,
-        });
-        assert_eq!(r.throughput_gbps(), 0.0);
+        assert_eq!(report(0, Dur::ZERO).throughput_gbps(), 0.0);
     }
 
     #[test]

@@ -1,44 +1,31 @@
-//! The chunking-service abstraction the case studies consume.
+//! The one-call entry points of [`Shredder`]: chunk one stream, with or
+//! without a sink.
 //!
 //! The Shredder library notifies applications of chunk boundaries via an
 //! upcall (§3.1: "the Store thread uses an upcall to notify the chunk
 //! boundaries to the application that is using the Shredder library").
-//! [`ChunkingService::chunk_source_with`] is that interface, now fed by
-//! a [`StreamSource`] instead of a bare slice and fallible so kernel
-//! errors propagate instead of panicking; the conveniences
-//! [`chunk_stream`](ChunkingService::chunk_stream) and
-//! [`chunk_source`](ChunkingService::chunk_source) collect the upcalls
-//! into a [`ChunkOutcome`].
+//! That upcall is the stage-less [`UpcallSink`], and
+//! [`chunk_stream`](Shredder::chunk_stream) collects it into a
+//! [`ChunkOutcome`]. A [`ChunkSink`] with downstream stages (fingerprint,
+//! dedup, ship) runs those stages inside the same simulation as the
+//! chunking pipeline.
 //!
-//! Since the staged-sink redesign, the upcall path is simply the
-//! degenerate (stage-less) case of
-//! [`chunk_source_sink`](ChunkingService::chunk_source_sink): a
-//! [`ChunkSink`] with downstream stages (fingerprint, dedup, ship) runs
-//! those stages *inside* the service's simulation, so hashing genuinely
-//! overlaps chunking instead of being post-processed analytically. The
-//! default implementation pipelines the sink's stages behind a chunker
-//! running at the service's measured rate; engine-backed services
-//! ([`Shredder`](crate::Shredder)) override it to schedule the stages
-//! in the shared multi-session simulation.
-//!
-//! For chunking *many* streams through one shared pipeline, use the
-//! session API ([`ShredderEngine`](crate::ShredderEngine)) directly —
-//! these per-call entry points each run a private single-session engine.
-//!
-//! Every entry point honors the full
-//! [`ShredderConfig`](crate::ShredderConfig), including the device pool:
-//! a service built with `gpus = N`
-//! ([`ShredderConfig::with_gpus`](crate::ShredderConfig::with_gpus))
-//! runs its sessions over N devices, and engine-backed reports expose
-//! the per-device utilization/overlap in
-//! [`EngineReport::devices`](crate::EngineReport).
+//! Each call opens one session on a private
+//! [`ShredderEngine`](crate::ShredderEngine) built from the full
+//! [`ShredderConfig`](crate::ShredderConfig): a GPU pool of any size, or
+//! a host-core pool ([`ShredderConfig::host_cores`](crate::ShredderConfig)),
+//! passes through the same reader, Store thread and sink stages. For
+//! many streams through one shared pipeline, use the session API or the
+//! request frontend ([`ShredderService`](crate::ShredderService)).
 
+use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
 use shredder_rabin::Chunk;
 
 use crate::error::ChunkError;
-use crate::report::Report;
-use crate::sink::{run_sink_after_chunking, ChunkSink, SinkOutcome};
+use crate::pipeline::Shredder;
+use crate::report::PipelineReport;
+use crate::sink::{ChunkSink, SinkOutcome, UpcallSink};
 use crate::source::{SliceSource, StreamSource};
 
 /// Result of chunking a stream: the chunks plus the engine's timing
@@ -48,7 +35,7 @@ pub struct ChunkOutcome {
     /// The chunks, tiling the input in order.
     pub chunks: Vec<Chunk>,
     /// Simulated timing report.
-    pub report: Report,
+    pub report: PipelineReport,
 }
 
 impl ChunkOutcome {
@@ -68,137 +55,62 @@ impl ChunkOutcome {
     }
 }
 
-/// A content-based chunking engine (GPU pipeline or host threads).
-///
-/// # Examples
-///
-/// ```
-/// use shredder_core::{ChunkingService, HostChunker};
-///
-/// let data = vec![3u8; 100_000];
-/// let service = HostChunker::with_defaults();
-/// let mut sizes: Vec<usize> = Vec::new();
-/// service
-///     .chunk_stream_with(&data, &mut |chunk| sizes.push(chunk.len))
-///     .unwrap();
-/// assert_eq!(sizes.iter().sum::<usize>(), data.len());
-/// ```
-pub trait ChunkingService {
-    /// Chunks the stream delivered by `source`, calling `upcall` with
-    /// each chunk in stream order, and returns the timing report.
-    ///
-    /// # Errors
-    ///
-    /// [`ChunkError`] when the underlying engine rejects the
-    /// configuration or a kernel launch fails.
-    fn chunk_source_with(
-        &self,
-        source: &mut dyn StreamSource,
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError>;
-
-    /// Chunks an in-memory stream, delivering each chunk through the
-    /// `upcall` in stream order.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream_with(
-        &self,
-        data: &[u8],
-        upcall: &mut dyn FnMut(Chunk),
-    ) -> Result<Report, ChunkError> {
-        self.chunk_source_with(&mut SliceSource::new(data), upcall)
-    }
-
-    /// Chunks a source and collects the upcalls.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source(&self, source: &mut dyn StreamSource) -> Result<ChunkOutcome, ChunkError> {
-        let mut chunks = Vec::new();
-        let report = self.chunk_source_with(source, &mut |c| chunks.push(c))?;
-        Ok(ChunkOutcome { chunks, report })
-    }
-
-    /// Chunks an in-memory stream and collects the upcalls.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
-        self.chunk_source(&mut SliceSource::new(data))
-    }
-
+impl Shredder {
     /// Chunks the stream delivered by `source` and drives `sink`'s
-    /// downstream stages inside the service's simulation.
-    ///
-    /// The sink's functional half (hashing, dedup decisions) always runs
-    /// for real, chunk by chunk in stream order. The default
-    /// implementation is the *degenerate* path for engines without a
-    /// shared simulation: it chunks first, then pipelines the sink's
-    /// stages behind a chunker stage running at the service's measured
-    /// rate (batched at [`SinkPipelineHints::granularity`](crate::SinkPipelineHints)),
-    /// so downstream stages still overlap chunking in simulated time.
-    /// Engine-backed services override this to schedule the stages in
-    /// the same shared simulation as the chunking pipeline itself.
+    /// downstream stages inside the engine's simulation: one session,
+    /// chunking pipeline and sink stages contending and overlapping on
+    /// the same virtual clock. The sink's functional half (hashing,
+    /// dedup decisions) runs for real, chunk by chunk in stream order.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source_sink(
+    /// [`ChunkError`] when the configuration is invalid or a kernel
+    /// launch fails.
+    pub fn chunk_source_sink(
         &self,
         source: &mut dyn StreamSource,
         sink: &mut dyn ChunkSink,
     ) -> Result<SinkOutcome, ChunkError> {
-        self.chunk_source_sink_capped(source, sink, None)
-    }
-
-    /// Like [`chunk_source_sink`](Self::chunk_source_sink), with an
-    /// explicit ingest bandwidth cap in bytes/s modeling the link that
-    /// feeds the chunker (the §7.3 10 Gbps image source). `None` models
-    /// a resident stream. Callers with a per-stream cap (the backup
-    /// server's legacy single-image path) pass it here; the request path
-    /// models the same cap as a
-    /// [`TenantClass::ingest_bw`](crate::TenantClass) limit instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_source_sink_capped(
-        &self,
-        source: &mut dyn StreamSource,
-        sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        // Materialize the stream: the sink's functional pass needs real
-        // payloads for every (min/max-adjusted) chunk. Both buffers are
-        // pooled leases, so repeat calls allocate nothing in steady
-        // state.
-        let pool = crate::bufpool::BufferPool::global();
-        let mut data = pool.with_capacity(source.size_hint().unwrap_or(0) as usize);
-        let mut buf = pool.get(1 << 20);
-        loop {
-            let n = source.read(&mut buf);
-            if n == 0 {
-                break;
-            }
-            data.extend_from_slice(&buf[..n]);
-        }
-        let mut chunks = Vec::new();
-        let report = self.chunk_stream_with(&data, &mut |c| chunks.push(c))?;
-        Ok(run_sink_after_chunking(
-            &data, &chunks, report, sink, ingest_bw,
-        ))
+        let outcome = {
+            let mut engine = self.engine();
+            engine.open_sink_session("chunk-stream", 1, source, sink);
+            engine.run()?
+        };
+        let per = &outcome.report.sessions[0];
+        // The report keeps chunk-only semantics: with downstream stages
+        // attached, chunking ends when the last buffer leaves the Store
+        // thread, not when the sink drains.
+        let chunk_makespan = if outcome.report.sink_stages.is_empty() {
+            outcome.report.makespan
+        } else {
+            per.timeline
+                .last()
+                .map(|t| t.store_end.saturating_since(per.first_admit))
+                .unwrap_or(Dur::ZERO)
+        };
+        let report = PipelineReport {
+            bytes: per.bytes,
+            buffers: per.buffers,
+            makespan: chunk_makespan,
+            stage_busy: outcome.report.stage_busy,
+            kernel_time: per.kernel_time,
+            timeline: per.timeline.clone(),
+            ring_setup: outcome.report.ring_setup,
+            raw_cuts: per.raw_cuts,
+        };
+        Ok(SinkOutcome {
+            report,
+            makespan: outcome.report.makespan,
+            stages: outcome.report.sink_stages,
+        })
     }
 
     /// Chunks an in-memory stream through a sink.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream_sink(
+    /// See [`chunk_source_sink`](Self::chunk_source_sink).
+    pub fn chunk_stream_sink(
         &self,
         data: &[u8],
         sink: &mut dyn ChunkSink,
@@ -206,98 +118,84 @@ pub trait ChunkingService {
         self.chunk_source_sink(&mut SliceSource::new(data), sink)
     }
 
-    /// Chunks an in-memory stream through a sink with an explicit
-    /// ingest bandwidth cap (see
-    /// [`chunk_source_sink_capped`](Self::chunk_source_sink_capped)).
+    /// Chunks an in-memory stream and collects the upcalls.
     ///
     /// # Errors
     ///
-    /// See [`chunk_source_with`](Self::chunk_source_with).
-    fn chunk_stream_sink_capped(
-        &self,
-        data: &[u8],
-        sink: &mut dyn ChunkSink,
-        ingest_bw: Option<f64>,
-    ) -> Result<SinkOutcome, ChunkError> {
-        self.chunk_source_sink_capped(&mut SliceSource::new(data), sink, ingest_bw)
+    /// See [`chunk_source_sink`](Self::chunk_source_sink).
+    pub fn chunk_stream(&self, data: &[u8]) -> Result<ChunkOutcome, ChunkError> {
+        let mut chunks = Vec::new();
+        let mut upcall = |c| chunks.push(c);
+        let report = self
+            .chunk_stream_sink(data, &mut UpcallSink::new(&mut upcall))?
+            .report;
+        Ok(ChunkOutcome { chunks, report })
     }
 
     /// Human-readable engine name (used in experiment output).
-    fn service_name(&self) -> String;
+    pub fn service_name(&self) -> String {
+        let c = self.config();
+        if let Some(host) = &c.host_cores {
+            return format!("pthreads-cpu({} threads, {})", host.threads, host.allocator);
+        }
+        format!(
+            "shredder-gpu({} kernel, depth {}, twins {}, {}, {} gpu{})",
+            c.kernel,
+            c.pipeline_depth,
+            c.twin_buffers,
+            if c.pinned_ring {
+                "pinned ring"
+            } else {
+                "pageable"
+            },
+            c.gpus,
+            if c.gpus == 1 { "" } else { "s" }
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::HostReport;
-    use shredder_des::Dur;
+    use crate::config::ShredderConfig;
 
-    struct FakeService;
-
-    impl ChunkingService for FakeService {
-        fn chunk_source_with(
-            &self,
-            source: &mut dyn StreamSource,
-            upcall: &mut dyn FnMut(Chunk),
-        ) -> Result<Report, ChunkError> {
-            let mut total = 0usize;
-            let mut buf = [0u8; 256];
-            loop {
-                let n = source.read(&mut buf);
-                if n == 0 {
-                    break;
-                }
-                total += n;
-            }
-            upcall(Chunk {
-                offset: 0,
-                len: total,
-            });
-            Ok(Report::Host(HostReport {
-                bytes: total as u64,
-                threads: 1,
-                allocator: "none".into(),
-                makespan: Dur::from_micros(1),
-            }))
-        }
-
-        fn service_name(&self) -> String {
-            "fake".into()
-        }
+    fn gpu() -> Shredder {
+        Shredder::new(ShredderConfig::default().with_buffer_size(64 << 10))
     }
 
     #[test]
     fn collect_outcome() {
-        let data = vec![1u8; 64];
-        let out = FakeService.chunk_stream(&data).unwrap();
-        assert_eq!(out.chunks.len(), 1);
-        assert_eq!(out.mean_chunk_size(), 64.0);
+        let data: Vec<u8> = (0..200_000u32).map(|i| ((i * 7919) >> 5) as u8).collect();
+        let out = gpu().chunk_stream(&data).unwrap();
+        assert!(out.chunks.len() > 1);
+        assert_eq!(
+            out.mean_chunk_size(),
+            data.len() as f64 / out.chunks.len() as f64
+        );
         let digests = out.digests(&data);
-        assert_eq!(digests.len(), 1);
-        assert_eq!(digests[0], shredder_hash::sha256(&data));
+        assert_eq!(digests.len(), out.chunks.len());
+        assert_eq!(digests[0], sha256(out.chunks[0].slice(&data)));
     }
 
     #[test]
     fn source_and_slice_paths_agree() {
-        let data = vec![7u8; 1000];
-        let via_slice = FakeService.chunk_stream(&data).unwrap();
-        let via_source = FakeService
-            .chunk_source(&mut SliceSource::new(&data))
+        let data = vec![7u8; 100_000];
+        let via_slice = gpu().chunk_stream(&data).unwrap();
+        let mut chunks = Vec::new();
+        let mut upcall = |c| chunks.push(c);
+        let via_source = gpu()
+            .chunk_source_sink(
+                &mut SliceSource::new(&data),
+                &mut UpcallSink::new(&mut upcall),
+            )
             .unwrap();
-        assert_eq!(via_slice, via_source);
+        assert_eq!(via_slice.report, via_source.report);
+        assert_eq!(via_slice.chunks, chunks);
     }
 
     #[test]
     fn empty_outcome_stats() {
-        let out = ChunkOutcome {
-            chunks: vec![],
-            report: Report::Host(HostReport {
-                bytes: 0,
-                threads: 1,
-                allocator: "none".into(),
-                makespan: Dur::ZERO,
-            }),
-        };
+        let out = gpu().chunk_stream(&[]).unwrap();
         assert_eq!(out.mean_chunk_size(), 0.0);
         assert!(out.digests(&[]).is_empty());
     }

@@ -281,8 +281,9 @@ pub struct TenantClass {
     /// Ingest bandwidth cap in bytes/s: all reads of this class's
     /// requests pass through one shared class link of this bandwidth
     /// before reaching the SAN reader. `None` means uncapped. This is
-    /// the first-class form of the explicit per-call cap of
-    /// [`ChunkingService::chunk_source_sink_capped`](crate::ChunkingService::chunk_source_sink_capped).
+    /// the one ingest cap: a consumer that models its intake link (the
+    /// backup server's 10 Gbps image source) puts its requests in a
+    /// capped class.
     pub ingest_bw: Option<f64>,
 }
 

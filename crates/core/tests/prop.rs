@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use shredder_core::{
-    AdmissionPolicy, ChunkSink, ChunkingService, FingerprintStage, HostChunker, HostChunkerConfig,
-    Shredder, ShredderConfig, ShredderEngine, SliceSource, StageSpec,
+    AdmissionPolicy, ChunkSink, FingerprintStage, HostChunker, HostChunkerConfig, Shredder,
+    ShredderConfig, ShredderEngine, SliceSource, StageSpec,
 };
 use shredder_des::Dur;
 use shredder_hash::sha256;
@@ -98,8 +98,8 @@ proptest! {
             .chunk_stream(&data)
             .unwrap();
         prop_assert_eq!(&gpu.chunks, &cpu.chunks);
-        prop_assert_eq!(gpu.report.bytes(), data.len() as u64);
-        prop_assert_eq!(cpu.report.bytes(), data.len() as u64);
+        prop_assert_eq!(gpu.report.bytes, data.len() as u64);
+        prop_assert_eq!(cpu.report.bytes, data.len() as u64);
         let total: usize = gpu.chunks.iter().map(|c| c.len).sum();
         prop_assert_eq!(total, data.len());
     }
@@ -110,7 +110,7 @@ proptest! {
         let cfg = ShredderConfig::default().with_buffer_size(16 << 10);
         let small = Shredder::new(cfg.clone()).chunk_stream(&vec![7u8; len]).unwrap();
         let large = Shredder::new(cfg).chunk_stream(&vec![7u8; len * 3]).unwrap();
-        prop_assert!(large.report.makespan() > small.report.makespan());
+        prop_assert!(large.report.makespan > small.report.makespan);
     }
 
     /// Cross-engine equivalence under contention: N interleaved sessions
@@ -182,7 +182,7 @@ proptest! {
             prop_assert_eq!(*digest, sha256(chunk.slice(&data)));
         }
         // The end-to-end makespan extends (or equals) the chunk-only one.
-        prop_assert!(sink_outcome.makespan >= sink_outcome.report.makespan());
+        prop_assert!(sink_outcome.makespan >= sink_outcome.report.makespan);
     }
 
     /// Determinism: the same session set through the same engine twice

@@ -61,6 +61,7 @@ impl DmaModel {
         let link = Dur::from_bytes_at(bytes.max(1), self.link_bandwidth(dir));
         match kind {
             HostMemKind::Pinned => Dur::from_nanos(calibration::DMA_SETUP_PINNED_NS) + link,
+            HostMemKind::Resident => Dur::ZERO,
             HostMemKind::Pageable => {
                 // Staging memcpy through driver bounce buffers serializes
                 // with the wire transfer.

@@ -18,6 +18,9 @@ pub enum HostMemKind {
     Pageable,
     /// Page-locked memory usable for async DMA.
     Pinned,
+    /// Memory the chunker computes on in place: a host-core device's
+    /// own DRAM. Nothing crosses PCIe, so DMA to and from it is free.
+    Resident,
 }
 
 /// Cost model for host allocations (Figure 6).
@@ -49,7 +52,7 @@ impl HostAllocModel {
     /// paper's `bzero`, §4.1.2) a region of `bytes`.
     pub fn alloc_time(&self, kind: HostMemKind, bytes: usize) -> Dur {
         match kind {
-            HostMemKind::Pageable => {
+            HostMemKind::Pageable | HostMemKind::Resident => {
                 Dur::from_nanos(calibration::PAGEABLE_ALLOC_BASE_NS)
                     + Dur::from_bytes_at(bytes as u64, calibration::PAGEABLE_ALLOC_BW)
             }

@@ -2,18 +2,21 @@
 //!
 //! `copy_from_local` mimics plain HDFS (fixed-size splits);
 //! `copy_from_local_gpu` is the §6.3 extension: the client runs the
-//! computationally expensive chunking through a
-//! [`ChunkingService`] (the Shredder-enabled HDFS client of Figure 14)
-//! before uploading chunks to DataNodes, deduplicating splits whose
-//! content is already stored.
+//! computationally expensive chunking through a [`Shredder`] (the
+//! Shredder-enabled HDFS client of Figure 14, on GPUs or on the host
+//! cores of the pthreads baseline) before uploading chunks to
+//! DataNodes, deduplicating splits whose content is already stored.
+//! Every content-based upload is a request of the service frontend
+//! ([`IncHdfs::copy_service_gpu`]); `copy_from_local_gpu` is the
+//! one-file batch.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use bytes::Bytes;
 use shredder_core::{
-    AdmissionControl, ChunkError, ChunkRequest, ChunkingService, ServiceReport, Shredder,
-    ShredderService, SliceSource, Workload,
+    AdmissionControl, ChunkError, ChunkRequest, ServiceReport, Shredder, ShredderService,
+    SliceSource, Workload,
 };
 use shredder_des::Dur;
 use shredder_hash::{sha256, Digest};
@@ -180,11 +183,11 @@ impl IncHdfs {
         self.commit(path, data, &aligned, Dur::ZERO, Dur::ZERO)
     }
 
-    /// Content-based upload through a Shredder chunking service with
-    /// semantic record alignment (`copyFromLocalGPU`, §6.3). Record
-    /// alignment and split fingerprinting run as a
-    /// [`RecordAlignedSink`] inside the service's simulation, so the
-    /// hash work overlaps chunking.
+    /// Content-based upload through Shredder with semantic record
+    /// alignment (`copyFromLocalGPU`, §6.3): a one-file batch of
+    /// [`copy_service_gpu`](Self::copy_service_gpu). Record alignment
+    /// and split fingerprinting run as a [`RecordAlignedSink`] inside
+    /// the engine's simulation, so the hash work overlaps chunking.
     ///
     /// # Errors
     ///
@@ -193,18 +196,17 @@ impl IncHdfs {
         &mut self,
         path: &str,
         data: &[u8],
-        service: &dyn ChunkingService,
+        shredder: &Shredder,
         format: &dyn InputFormat,
     ) -> Result<UploadReport, HdfsError> {
-        let mut sink = RecordAlignedSink::new(format);
-        let outcome = service.chunk_stream_sink(data, &mut sink)?;
-        Ok(self.commit(
-            path,
-            data,
-            &sink.into_aligned(),
-            outcome.report.makespan(),
-            outcome.makespan,
-        ))
+        let (mut reports, _) = self.copy_service_gpu(
+            &[(path, data)],
+            shredder,
+            format,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )?;
+        reports.swap_remove(0)
     }
 
     /// Multi-file ingestion: uploads arrive *inside* the simulation

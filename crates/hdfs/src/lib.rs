@@ -17,18 +17,18 @@
 //!   alignment incrementally and fingerprints every aligned split as an
 //!   in-simulation stage, so hashing overlaps chunking.
 //! * [`fs`] — the client API: `copy_from_local` (fixed-size, plain HDFS
-//!   behaviour) and `copy_from_local_gpu` (content-based via any
-//!   [`ChunkingService`](shredder_core::ChunkingService) — the
+//!   behaviour) and `copy_from_local_gpu` (content-based via a
+//!   [`Shredder`](shredder_core::Shredder) on GPUs or host cores — the
 //!   `copyFromLocalGPU` shell command of §6.3).
 //!
 //! # Examples
 //!
 //! ```
-//! use shredder_core::HostChunker;
+//! use shredder_core::{HostChunker, HostChunkerConfig};
 //! use shredder_hdfs::{input_format::TextInputFormat, IncHdfs};
 //!
 //! let mut fs = IncHdfs::new(4);
-//! let service = HostChunker::with_defaults();
+//! let service = HostChunker::new(HostChunkerConfig::optimized());
 //! let data = b"record one\nrecord two\nrecord three\n".repeat(2000);
 //!
 //! let report = fs

@@ -206,10 +206,10 @@ pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
 }
 
 /// Builds record-aligned splits by **content-defined chunking** through
-/// any [`ChunkingService`](shredder_core::ChunkingService), consuming
-/// the boundaries via a
-/// [`RecordAlignedSink`](shredder_hdfs::RecordAlignedSink): record
-/// alignment and split fingerprinting run inside the service's
+/// a [`Shredder`](shredder_core::Shredder) (GPUs or host cores), one
+/// stream through the engine's batch path, consuming the boundaries via
+/// a [`RecordAlignedSink`](shredder_hdfs::RecordAlignedSink): record
+/// alignment and split fingerprinting run inside the engine's
 /// simulation (overlapping chunking), and the split digests — the memo
 /// keys that make reruns incremental — come straight from the sink's
 /// fingerprint stage.
@@ -223,14 +223,14 @@ pub fn splits_from_bytes(data: &[u8], target_split: usize) -> Vec<SplitData> {
 /// [`shredder_core::ChunkError`] if the chunking engine fails.
 pub fn content_defined_splits(
     data: &[u8],
-    service: &dyn shredder_core::ChunkingService,
+    shredder: &shredder_core::Shredder,
     format: &dyn shredder_hdfs::InputFormat,
 ) -> Result<Vec<SplitData>, shredder_core::ChunkError> {
     use shredder_hdfs::namenode::SplitMeta;
     use shredder_hdfs::RecordAlignedSink;
 
     let mut sink = RecordAlignedSink::new(format);
-    service.chunk_stream_sink(data, &mut sink)?;
+    shredder.chunk_stream_sink(data, &mut sink)?;
     Ok(sink
         .into_aligned()
         .into_iter()

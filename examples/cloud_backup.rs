@@ -9,7 +9,7 @@
 //! backup site — which restores and verifies every image.
 
 use shredder::backup::{BackupConfig, BackupServer};
-use shredder::core::{Shredder, ShredderConfig};
+use shredder::core::{AdmissionControl, Shredder, ShredderConfig, Workload};
 use shredder::rabin::ChunkParams;
 use shredder::workloads::{MasterImage, SimilarityTable};
 
@@ -79,7 +79,14 @@ fn main() {
         .map(|site| master.derive(&table, site))
         .collect();
     let images: Vec<&[u8]> = snapshots.iter().map(|s| s.as_slice()).collect();
-    let batch = server.backup_batch(&images, &service).unwrap();
+    let batch = server
+        .backup_service(
+            &images,
+            &service,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
+        .unwrap();
     println!(
         "\nnight 6 (4 sites, one engine): {:.2} Gbps aggregate, makespan {:.2} ms",
         batch.aggregate_bandwidth_gbps(),
@@ -108,7 +115,7 @@ fn main() {
         batch.engine.makespan.as_millis_f64(),
         busy_sum.as_millis_f64()
     );
-    for (report, snapshot) in batch.reports.iter().zip(&snapshots) {
+    for (report, snapshot) in batch.reports.iter().flatten().zip(&snapshots) {
         assert_eq!(
             &server.site().restore(report.image_id).unwrap(),
             snapshot,

@@ -10,9 +10,7 @@
 //! round-robin admission. Each client still gets chunks bit-identical
 //! to a sequential scan of its own stream.
 
-use shredder::core::{
-    AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;
 

@@ -8,7 +8,7 @@
 //! a multi-GPU device pool with `gpus = N`.
 
 use shredder::core::{
-    ChunkingService, HostChunker, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    HostChunker, HostChunkerConfig, Shredder, ShredderConfig, ShredderEngine, SliceSource,
 };
 use shredder::gpu::kernel::KernelVariant;
 use shredder::workloads;
@@ -31,28 +31,27 @@ fn main() {
         outcome.report.throughput_gbps()
     );
 
-    if let Some(pipeline) = outcome.report.as_pipeline() {
-        println!("\nper-stage busy time over {} buffers:", pipeline.buffers);
-        println!(
-            "  reader   : {:.1} ms",
-            pipeline.stage_busy.read.as_millis_f64()
-        );
-        println!(
-            "  transfer : {:.1} ms",
-            pipeline.stage_busy.transfer.as_millis_f64()
-        );
-        println!(
-            "  kernel   : {:.1} ms",
-            pipeline.stage_busy.kernel.as_millis_f64()
-        );
-        println!(
-            "  store    : {:.1} ms",
-            pipeline.stage_busy.store.as_millis_f64()
-        );
-    }
+    let pipeline = &outcome.report;
+    println!("\nper-stage busy time over {} buffers:", pipeline.buffers);
+    println!(
+        "  reader   : {:.1} ms",
+        pipeline.stage_busy.read.as_millis_f64()
+    );
+    println!(
+        "  transfer : {:.1} ms",
+        pipeline.stage_busy.transfer.as_millis_f64()
+    );
+    println!(
+        "  kernel   : {:.1} ms",
+        pipeline.stage_busy.kernel.as_millis_f64()
+    );
+    println!(
+        "  store    : {:.1} ms",
+        pipeline.stage_busy.store.as_millis_f64()
+    );
 
     // The host-only pthreads baseline produces identical boundaries.
-    let cpu = HostChunker::with_defaults();
+    let cpu = HostChunker::new(HostChunkerConfig::optimized());
     let cpu_outcome = cpu.chunk_stream(&data).expect("chunking failed");
     assert_eq!(cpu_outcome.chunks, outcome.chunks);
     println!(

@@ -94,11 +94,10 @@
 //! [`ChunkError::Overloaded`](core::ChunkError) instead of queueing
 //! without bound, and
 //! [`capacity_search`](core::capacity_search) bisects the highest
-//! sustained rate meeting a p99 SLO. Ingest-bandwidth caps are
-//! per tenant class ([`TenantClass::with_ingest_bw`](core::TenantClass))
-//! — or per request for one-shot consumers, via
-//! `ChunkingService::chunk_source_sink_capped` — rather than a
-//! property of the sink itself.
+//! sustained rate meeting a p99 SLO. Ingest-bandwidth caps are per
+//! tenant class ([`TenantClass::with_ingest_bw`](core::TenantClass)),
+//! not a property of the sink: the backup server's one-image path, for
+//! one, is a one-request batch in its capped `"site"` class.
 //!
 //! # Quickstart: multi-tenant chunking
 //!
@@ -143,10 +142,11 @@
 //! # Quickstart: one stream
 //!
 //! The classic one-shot API is a thin single-session convenience over
-//! the same engine:
+//! the same engine, on GPUs or — built from a `HostChunkerConfig` — on
+//! the host cores of the pthreads baseline:
 //!
 //! ```
-//! use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+//! use shredder::core::{Shredder, ShredderConfig};
 //!
 //! let data: Vec<u8> = (0..1u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 9) as u8).collect();
 //! let shredder = Shredder::new(ShredderConfig::default());
@@ -169,7 +169,7 @@
 //! stay content-defined, deterministic, and shift-resilient:
 //!
 //! ```
-//! use shredder::core::{ChunkingService, Shredder, ShredderConfig};
+//! use shredder::core::{Shredder, ShredderConfig};
 //! use shredder::gpu::kernel::KernelVariant;
 //! use shredder::workloads;
 //!

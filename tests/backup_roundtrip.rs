@@ -5,7 +5,7 @@
 //! Shredder-GPU sustains higher backup bandwidth than pthreads-CPU.
 
 use shredder::backup::{BackupConfig, BackupServer};
-use shredder::core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder::core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
 use shredder::rabin::ChunkParams;
 use shredder::workloads::{MasterImage, SimilarityTable};
 
@@ -71,7 +71,7 @@ fn gpu_and_cpu_agree_on_what_is_new() {
     let table = SimilarityTable::uniform(master.segments(), 0.10);
     let snap = master.derive(&table, 9);
 
-    let run = |svc: &dyn ChunkingService| {
+    let run = |svc: &Shredder| {
         let mut server = BackupServer::new(test_config());
         server.backup_image(master.data(), svc).unwrap();
         server.backup_image(&snap, svc).unwrap()

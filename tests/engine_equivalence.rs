@@ -6,7 +6,7 @@
 //! chunker and the batch chunker must all agree, with and without
 //! min/max constraints, on every kind of workload.
 
-use shredder::core::{ChunkingService, HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
+use shredder::core::{HostChunker, HostChunkerConfig, Shredder, ShredderConfig};
 use shredder::gpu::kernel::{ChunkKernel, KernelVariant};
 use shredder::gpu::DeviceConfig;
 use shredder::rabin::chunker::raw_cuts;
@@ -48,7 +48,9 @@ fn all_engines_agree_on_boundaries() {
             assert_eq!(out.chunks, reference, "{label}");
         }
 
-        let host = HostChunker::with_defaults().chunk_stream(&data).unwrap();
+        let host = HostChunker::new(HostChunkerConfig::optimized())
+            .chunk_stream(&data)
+            .unwrap();
         assert_eq!(host.chunks, reference, "{name}: host service");
     }
 }
@@ -139,6 +141,8 @@ fn chunk_digests_are_engine_independent() {
     let gpu = Shredder::new(ShredderConfig::default().with_buffer_size(256 << 10))
         .chunk_stream(&data)
         .unwrap();
-    let cpu = HostChunker::with_defaults().chunk_stream(&data).unwrap();
+    let cpu = HostChunker::new(HostChunkerConfig::optimized())
+        .chunk_stream(&data)
+        .unwrap();
     assert_eq!(gpu.digests(&data), cpu.digests(&data));
 }

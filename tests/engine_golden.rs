@@ -28,8 +28,7 @@ use shredder::cluster::{FleetConfig, FleetRequest, ShredderFleet};
 use shredder::core::{
     AdmissionControl, AdmissionPolicy, ChunkRequest, DedupSink, DedupSinkConfig, FaultPlan,
     HostChunker, HostChunkerConfig, MemorySource, ServiceOutcome, Shredder, ShredderConfig,
-    ShredderEngine, ShredderService, SinkPipelineHints, SliceSource, TelemetryConfig, TenantClass,
-    Workload,
+    ShredderEngine, ShredderService, SliceSource, TelemetryConfig, TenantClass, Workload,
 };
 use shredder::des::Dur;
 use shredder::hash::{sha256, Digest};
@@ -56,7 +55,6 @@ fn sink_config() -> DedupSinkConfig {
         ship_bw: 0.9e9,
         pointer_bytes: 40,
         ship_chunk_overhead: Dur::from_micros(2),
-        hints: SinkPipelineHints::default(),
     }
 }
 

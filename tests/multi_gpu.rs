@@ -9,9 +9,7 @@
 //! throughput scales once the reader is not the bottleneck, and the
 //! report exposes per-device utilization and copy–compute overlap.
 
-use shredder::core::{
-    ChunkingService, PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource,
-};
+use shredder::core::{PlacementPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource};
 use shredder::hash::sha256;
 use shredder::rabin::{chunk_all, ChunkParams};
 use shredder::workloads;

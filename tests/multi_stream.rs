@@ -8,8 +8,8 @@
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    AdmissionControl, AdmissionPolicy, ChunkingService, Shredder, ShredderConfig, ShredderEngine,
-    SliceSource, Workload,
+    AdmissionControl, AdmissionPolicy, Shredder, ShredderConfig, ShredderEngine, SliceSource,
+    Workload,
 };
 use shredder::hdfs::{IncHdfs, TextInputFormat};
 use shredder::rabin::{chunk_all, ChunkParams};
@@ -121,7 +121,7 @@ fn engine_is_deterministic_end_to_end() {
 }
 
 #[test]
-fn backup_batch_consolidates_sites_through_one_engine() {
+fn batch_backup_consolidates_sites_through_one_engine() {
     let sites = tenant_streams(4, 2 << 20);
     let images: Vec<&[u8]> = sites.iter().map(|s| s.as_slice()).collect();
     let gpu = Shredder::new(
@@ -129,13 +129,17 @@ fn backup_batch_consolidates_sites_through_one_engine() {
             .with_params(ChunkParams::backup())
             .with_buffer_size(512 << 10),
     );
-    let mut server = BackupServer::new(BackupConfig {
-        buffer_size: 512 << 10,
-        ..BackupConfig::paper()
-    });
-    let batch = server.backup_batch(&images, &gpu).unwrap();
-    assert_eq!(batch.reports.len(), 4);
-    for (report, site) in batch.reports.iter().zip(&sites) {
+    let mut server = BackupServer::new(BackupConfig::paper());
+    let batch = server
+        .backup_service(
+            &images,
+            &gpu,
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
+        .unwrap();
+    assert_eq!(batch.completed(), 4);
+    for (report, site) in batch.reports.iter().flatten().zip(&sites) {
         assert_eq!(server.site().restore(report.image_id).unwrap(), *site);
     }
     assert_eq!(batch.engine.sessions.len(), 4);

@@ -3,8 +3,9 @@
 //!
 //! * The sink path yields **bit-identical chunks and digests** to the
 //!   legacy collect path.
-//! * `BackupServer::backup_batch` reports per-stage (chunk/hash/dedup/
-//!   ship) busy + queue-wait times from the one shared simulation.
+//! * A batch of `BackupServer::backup_service` reports per-stage
+//!   (chunk/hash/dedup/ship) busy + queue-wait times from the one shared
+//!   simulation.
 //! * Hash-stage work demonstrably **overlaps** chunking: the end-to-end
 //!   makespan is smaller than the sum of the stage busy times, and
 //!   smaller than "chunking finished, then hashing ran".
@@ -15,8 +16,8 @@ use std::rc::Rc;
 
 use shredder::backup::{BackupConfig, BackupServer};
 use shredder::core::{
-    ChunkSink, ChunkingService, DedupSink, DedupSinkConfig, FingerprintStage, HostChunker,
-    HostChunkerConfig, Shredder, ShredderConfig, SinkPipelineHints, StageKind, StageSpec,
+    AdmissionControl, ChunkSink, DedupSink, DedupSinkConfig, FingerprintStage, HostChunker,
+    HostChunkerConfig, Shredder, ShredderConfig, StageKind, StageSpec, Workload,
 };
 use shredder::des::{Dur, SimTime};
 use shredder::hash::sha256;
@@ -62,11 +63,11 @@ fn gpu_service() -> Shredder {
 fn sink_path_is_bit_identical_to_collect_path() {
     let data = workloads::compressible_bytes(6 << 20, 64, 0x51);
     for service in [
-        Box::new(gpu_service()) as Box<dyn ChunkingService>,
-        Box::new(HostChunker::new(HostChunkerConfig {
+        gpu_service(),
+        HostChunker::new(HostChunkerConfig {
             params: ChunkParams::backup(),
             ..HostChunkerConfig::optimized()
-        })),
+        }),
     ] {
         let name = service.service_name();
 
@@ -107,7 +108,6 @@ fn dedup_sink_decisions_equal_legacy_postprocessing() {
         ship_bw: 0.9e9,
         pointer_bytes: 40,
         ship_chunk_overhead: Dur::from_micros(2),
-        hints: SinkPipelineHints::default(),
     };
 
     // Reference: collect, then hash + dedup by hand.
@@ -132,18 +132,22 @@ fn dedup_sink_decisions_equal_legacy_postprocessing() {
 }
 
 #[test]
-fn backup_batch_reports_overlapping_stages() {
+fn batch_backup_reports_overlapping_stages() {
     // Four remote sites, one shared engine: chunking, fingerprinting,
     // index lookup and shipping all in one simulation.
     let sites: Vec<Vec<u8>> = (0..4)
         .map(|s| workloads::compressible_bytes(4 << 20, 256, 0x60 + s))
         .collect();
     let images: Vec<&[u8]> = sites.iter().map(|s| s.as_slice()).collect();
-    let mut server = BackupServer::new(BackupConfig {
-        buffer_size: 512 << 10,
-        ..BackupConfig::paper()
-    });
-    let batch = server.backup_batch(&images, &gpu_service()).unwrap();
+    let mut server = BackupServer::new(BackupConfig::paper());
+    let batch = server
+        .backup_service(
+            &images,
+            &gpu_service(),
+            &Workload::Batch,
+            AdmissionControl::unbounded(),
+        )
+        .unwrap();
     let engine = &batch.engine;
 
     // Per-stage busy + queue-wait times are reported from the shared
@@ -201,7 +205,7 @@ fn backup_batch_reports_overlapping_stages() {
     );
 
     // And the batch remains functionally correct: every site restores.
-    for (report, site) in batch.reports.iter().zip(&sites) {
+    for (report, site) in batch.reports.iter().flatten().zip(&sites) {
         assert_eq!(&server.site().restore(report.image_id).unwrap(), site);
     }
 }
@@ -220,9 +224,9 @@ fn sink_backpressure_extends_session_completion() {
     assert_eq!(staged.stages.len(), 1);
     assert!(staged.stages[0].busy > Dur::ZERO);
     assert!(
-        staged.makespan > plain.report.makespan(),
+        staged.makespan > plain.report.makespan,
         "sink stages are free? {} !> {}",
         staged.makespan,
-        plain.report.makespan()
+        plain.report.makespan
     );
 }
